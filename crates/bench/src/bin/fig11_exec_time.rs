@@ -9,7 +9,7 @@
 //! `cargo run --release -p xed-bench --bin fig11_exec_time`
 //! (`--instructions N` per core; `--show-config` prints Table V.)
 
-use xed_bench::{Options, Report, J};
+use xed_bench::{scheme_column, Options, Report, J};
 use xed_memsim::overlay::ReliabilityScheme;
 use xed_memsim::sim::{SimConfig, Simulation};
 use xed_memsim::workloads::{geometric_mean, ALL};
@@ -27,7 +27,7 @@ fn main() {
     );
     print!("{:12}", "benchmark");
     for s in &schemes[1..] {
-        print!(" {:>12}", short(s.name));
+        print!(" {:>12}", scheme_column(s.name));
     }
     println!();
 
@@ -52,7 +52,7 @@ fn main() {
             let ratio = r as f64 / base as f64;
             per_scheme[i].push(ratio);
             print!(" {:>12.3}", ratio);
-            row.push((short(s.name), J::F(ratio)));
+            row.push((scheme_column(s.name), J::F(ratio)));
         }
         report.row(&row);
         println!();
@@ -63,7 +63,7 @@ fn main() {
     for (i, ratios) in per_scheme.iter().enumerate() {
         let g = geometric_mean(ratios.iter().copied());
         print!(" {g:>12.3}");
-        gmean_row.push((short(schemes[1 + i].name), J::F(g)));
+        gmean_row.push((scheme_column(schemes[1 + i].name), J::F(g)));
     }
     println!("\n\npaper Gmeans: XED 1.00, Chipkill 1.21, XED+Chipkill 1.21, Double-Chipkill 1.82");
     report.row(&gmean_row);
@@ -80,10 +80,6 @@ fn run(name: &str, scheme: ReliabilityScheme, instructions: u64, seed: u64) -> u
     })
     .run()
     .cycles
-}
-
-fn short(name: &str) -> &str {
-    name.split(' ').next().unwrap_or(name)
 }
 
 fn print_table_v() {

@@ -7,7 +7,7 @@
 //!
 //! `cargo run --release -p xed-bench --bin fig12_power`
 
-use xed_bench::{Options, Report, J};
+use xed_bench::{scheme_column, Options, Report, J};
 use xed_memsim::overlay::ReliabilityScheme;
 use xed_memsim::sim::{SimConfig, SimResult, Simulation};
 use xed_memsim::workloads::{geometric_mean, ALL};
@@ -22,7 +22,7 @@ fn main() {
     );
     print!("{:12}", "benchmark");
     for s in &schemes[1..] {
-        print!(" {:>12}", s.name.split(' ').next().unwrap());
+        print!(" {:>12}", scheme_column(s.name));
     }
     println!();
 
@@ -47,7 +47,7 @@ fn main() {
             let ratio = r.power_mw() / base;
             per_scheme[i].push(ratio);
             print!(" {:>12.3}", ratio);
-            row.push((s.name.split(' ').next().unwrap(), J::F(ratio)));
+            row.push((scheme_column(s.name), J::F(ratio)));
         }
         report.row(&row);
         println!();
@@ -58,7 +58,7 @@ fn main() {
     for (i, ratios) in per_scheme.iter().enumerate() {
         let g = geometric_mean(ratios.iter().copied());
         print!(" {g:>12.3}");
-        gmean_row.push((schemes[1 + i].name.split(' ').next().unwrap(), J::F(g)));
+        gmean_row.push((scheme_column(schemes[1 + i].name), J::F(g)));
     }
     report.row(&gmean_row);
     println!(

@@ -96,9 +96,38 @@ pub fn ratio(r: f64) -> String {
     format!("{r:.2}x")
 }
 
+/// The column label of a Figure 11/12 scheme: the first word of its
+/// name, except for "XED + Single Chipkill", whose first word would
+/// collide with XED's column.
+pub fn scheme_column(name: &str) -> &str {
+    if name.starts_with("XED + ") {
+        "XED+Chipkill"
+    } else {
+        name.split(' ').next().unwrap_or(name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn figure11_columns_are_distinct() {
+        let labels: Vec<&str> = xed_memsim::overlay::ReliabilityScheme::figure11_set()
+            .iter()
+            .map(|s| scheme_column(s.name))
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "SECDED",
+                "XED",
+                "Chipkill",
+                "XED+Chipkill",
+                "Double-Chipkill"
+            ]
+        );
+    }
 
     #[test]
     fn defaults_reasonable() {

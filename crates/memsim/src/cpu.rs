@@ -6,6 +6,12 @@
 //! the *oldest* outstanding read by at most the ROB size (Table V: 160
 //! entries, 4-wide at 3.2 GHz = up to 16 instructions per 800 MHz memory
 //! cycle). Writebacks are fire-and-forget unless the write queue is full.
+//!
+//! Cores are stepped lazily: between two interactions with the memory
+//! system a core either retires its full width every cycle or sits
+//! ROB-stalled, so [`Core::catch_up`] applies any run of such cycles in
+//! one step and [`Core::wake_at`] names the next cycle that needs a real
+//! [`Core::tick`] (DESIGN.md §18).
 
 use crate::trace::{MemOp, Source};
 use std::collections::VecDeque;
@@ -49,6 +55,11 @@ pub struct Core {
     blocked_request: Option<CoreRequest>,
     /// Finish time, once reached.
     finished_at: Option<u64>,
+    /// The first cycle whose tick has not been applied yet.
+    synced: u64,
+    /// [`Self::wake_at`], recomputed whenever a tick or a completion
+    /// changes the core (a catch-up leaves it unchanged).
+    wake: u64,
     /// Stall statistics.
     pub stalls: StallStats,
 }
@@ -56,8 +67,9 @@ pub struct Core {
 impl Core {
     /// Creates a core that will retire `target` instructions.
     pub fn new(mut trace: Source, rob_size: u64, instrs_per_mem_cycle: u64, target: u64) -> Self {
+        assert!(instrs_per_mem_cycle > 0, "a core must retire something");
         let first = trace.next_op();
-        Self {
+        let mut core = Self {
             trace,
             rob_size,
             instrs_per_mem_cycle,
@@ -68,8 +80,12 @@ impl Core {
             outstanding: VecDeque::new(),
             blocked_request: None,
             finished_at: None,
+            synced: 0,
+            wake: 0,
             stalls: StallStats::default(),
-        }
+        };
+        core.wake = core.next_wake();
+        core
     }
 
     /// Instructions retired so far.
@@ -93,15 +109,89 @@ impl Core {
         if let Some(pos) = self.outstanding.iter().position(|&i| i == instr_no) {
             self.outstanding.remove(pos);
         }
+        self.wake = self.next_wake();
     }
 
-    /// Advances the core by one memory cycle. `try_issue` is called for
-    /// each memory operation reached; it returns `false` when the
-    /// controller queue is full (the core then stalls and retries).
-    pub fn tick<F: FnMut(CoreRequest) -> bool>(&mut self, now: u64, mut try_issue: F) {
+    /// The instruction count the ROB caps run-ahead at: the oldest
+    /// outstanding read plus the ROB size.
+    fn rob_limit(&self) -> u64 {
+        self.outstanding
+            .front()
+            .map_or(u64::MAX, |&oldest| oldest + self.rob_size)
+    }
+
+    /// The first cycle whose tick can interact with the memory system or
+    /// finish the core: a retry of a queue-blocked request, the cycle the
+    /// next memory operation is reached, or the one retiring the last
+    /// instruction. `u64::MAX` once finished, or when the core will sit
+    /// ROB-stalled until a read completes ([`Self::complete_read`]).
+    pub fn wake_at(&self) -> u64 {
+        self.wake
+    }
+
+    fn next_wake(&self) -> u64 {
+        if self.finished() {
+            return u64::MAX;
+        }
+        if self.blocked_request.is_some() {
+            return self.synced;
+        }
+        let limit = self.rob_limit();
+        let stop = self.next_op_at.min(self.target);
+        if self.retired >= limit || stop > limit {
+            return u64::MAX;
+        }
+        // Reaching `stop` mid-cycle still acts in that cycle.
+        let cycles = (stop - self.retired).div_ceil(self.instrs_per_mem_cycle);
+        self.synced + cycles.max(1) - 1
+    }
+
+    /// Applies the ticks of every cycle before `now` not yet applied, in
+    /// one step. Valid while `now <= wake_at()`: those cycles only retire
+    /// the full width or count ROB stalls. [`Self::tick`] calls it first;
+    /// a caller stepping lazily calls it before [`Self::complete_read`] too.
+    pub fn catch_up(&mut self, now: u64) {
+        if now <= self.synced || self.finished() {
+            return;
+        }
+        debug_assert!(now <= self.wake_at(), "catch-up across an interaction");
+        let cycles = now - self.synced;
+        self.synced = now;
+        let limit = self.rob_limit();
+        if self.retired >= limit {
+            self.stalls.rob_full_cycles += cycles;
+            return;
+        }
+        let width = self.instrs_per_mem_cycle;
+        let gap = limit - self.retired;
+        let to_limit = gap.div_ceil(width);
+        if cycles < to_limit {
+            self.retired += cycles * width;
+        } else {
+            self.retired = limit;
+            // The cycle that reaches the limit with width to spare counts
+            // as stalled too, as do all after it.
+            self.stalls.rob_full_cycles +=
+                cycles - to_limit + u64::from(!gap.is_multiple_of(width));
+        }
+    }
+
+    /// Advances the core through memory cycle `now` (catching up any
+    /// earlier cycles first). `try_issue` is called for each memory
+    /// operation reached; it returns `false` when the controller queue is
+    /// full (the core then stalls and retries).
+    pub fn tick<F: FnMut(CoreRequest) -> bool>(&mut self, now: u64, try_issue: F) {
         if self.finished() {
             return;
         }
+        self.catch_up(now);
+        self.synced = now + 1;
+        self.step(now, try_issue);
+        self.wake = self.next_wake();
+    }
+
+    /// One cycle's retire-and-issue work (the body of [`Self::tick`]).
+    fn step<F: FnMut(CoreRequest) -> bool>(&mut self, now: u64, mut try_issue: F) {
         // Retry a queue-blocked request before anything else.
         if let Some(req) = self.blocked_request.take() {
             if !try_issue(req) {
@@ -118,10 +208,7 @@ impl Core {
         let mut budget = self.instrs_per_mem_cycle;
         while budget > 0 && !self.finished() {
             // The ROB caps run-ahead past the oldest outstanding read.
-            let rob_limit = self
-                .outstanding
-                .front()
-                .map_or(u64::MAX, |&oldest| oldest + self.rob_size);
+            let rob_limit = self.rob_limit();
             if self.retired >= rob_limit {
                 self.stalls.rob_full_cycles += 1;
                 break;
@@ -279,6 +366,80 @@ mod tests {
             c.stalls.rob_full_cycles > 0,
             "the pending reads did block the ROB"
         );
+    }
+
+    /// Drives one core every cycle and a twin only at its wake cycles
+    /// and at read completions (each read returns `delay` cycles after
+    /// issue); every issued request, counter and finish time must agree.
+    fn lazy_matches_per_cycle(delay: u64, target: u64) {
+        type Log = Vec<(u64, CoreRequest)>;
+        fn issue(log: &mut Log, due: &mut Vec<(u64, u64)>, now: u64, req: CoreRequest, delay: u64) {
+            log.push((now, req));
+            if !req.is_write {
+                due.push((now + delay, req.instr_no));
+            }
+        }
+        let (mut eager, mut lazy) = (core_with(target), core_with(target));
+        let (mut eager_log, mut lazy_log): (Log, Log) = (Vec::new(), Vec::new());
+        let (mut eager_due, mut lazy_due) = (Vec::new(), Vec::new());
+        for now in 0..1_000_000 {
+            eager_due.retain(|&(at, instr)| {
+                if at == now {
+                    eager.complete_read(instr);
+                }
+                at != now
+            });
+            eager.tick(now, |req| {
+                issue(&mut eager_log, &mut eager_due, now, req, delay);
+                true
+            });
+            if eager.finished() {
+                break;
+            }
+        }
+        let mut now = 0;
+        loop {
+            lazy_due.retain(|&(at, instr)| {
+                if at == now {
+                    lazy.catch_up(now);
+                    lazy.complete_read(instr);
+                }
+                at != now
+            });
+            if lazy.wake_at() <= now {
+                lazy.tick(now, |req| {
+                    issue(&mut lazy_log, &mut lazy_due, now, req, delay);
+                    true
+                });
+            }
+            if lazy.finished() {
+                break;
+            }
+            let next_due = lazy_due.iter().map(|&(at, _)| at).min();
+            now = lazy
+                .wake_at()
+                .min(next_due.unwrap_or(u64::MAX))
+                .max(now + 1);
+            assert!(now < 1_000_000, "lazy core wedged");
+        }
+        assert!(eager.finished());
+        assert_eq!(lazy_log, eager_log);
+        assert_eq!(lazy.finished_at(), eager.finished_at());
+        assert_eq!(lazy.retired(), eager.retired());
+        assert_eq!(lazy.stalls, eager.stalls);
+        if delay >= 40 {
+            assert!(
+                eager.stalls.rob_full_cycles > 0,
+                "the ROB limit was exercised"
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_stepping_matches_per_cycle_stepping() {
+        for delay in [1, 7, 40, 200] {
+            lazy_matches_per_cycle(delay, 30_000);
+        }
     }
 
     #[test]

@@ -1,16 +1,27 @@
 //! Bank/rank/channel state machines enforcing DDR3 timing.
 //!
 //! Each structure tracks "earliest allowed cycle" registers for the
-//! commands that touch it; the scheduler may issue a command only when the
-//! corresponding `can_*` query passes, and every `issue_*` updates the
+//! commands that touch it. The `*_ready_at` queries fold a bank's own
+//! registers with its rank's [`RankReady`] floor into the earliest cycle
+//! a command may issue ([`NEVER`] when the bank state forbids it
+//! outright), and are the one source of DDR timing: each `can_*` is just
+//! `ready_at <= now`. Every `issue_*` updates the
 //! registers per the JEDEC constraint graph (tRCD, tRP, tRAS, tRC, tCCD,
 //! tRRD, tFAW, tWTR, tWR, tRTP, tRTRS, tREFI/tRFC).
+//!
+//! Without an intervening `issue_*` every readiness cycle is fixed, so a
+//! scheduler can sleep until the earliest one (DESIGN.md §18).
 
 use crate::timing::DdrTiming;
-use std::collections::VecDeque;
 
-/// One DRAM bank's scheduling state.
-#[derive(Debug, Clone)]
+/// "Not before the bank state changes": the readiness of a command the
+/// current bank state forbids (ACT to an open bank, PRE to a closed one,
+/// a column access to another row).
+pub const NEVER: u64 = u64::MAX;
+
+/// One DRAM bank's scheduling state: its open row and the earliest
+/// cycles its own timing allows each command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bank {
     /// Currently open row, if any.
     pub open_row: Option<u32>,
@@ -30,6 +41,56 @@ impl Bank {
             next_pre: 0,
         }
     }
+
+    /// Earliest ACT, given the rank's [`RankReady`] floor ([`NEVER`]
+    /// while a row is open).
+    #[inline]
+    pub fn act_ready_at(&self, rank: &RankReady) -> u64 {
+        match self.open_row {
+            Some(_) => NEVER,
+            None => self.next_act.max(rank.act),
+        }
+    }
+
+    /// Earliest PRE ([`NEVER`] while the bank is closed).
+    #[inline]
+    pub fn pre_ready_at(&self, rank: &RankReady) -> u64 {
+        match self.open_row {
+            Some(_) => self.next_pre.max(rank.pre),
+            None => NEVER,
+        }
+    }
+
+    /// Earliest READ of `row` ([`NEVER`] unless `row` is open).
+    #[inline]
+    pub fn read_ready_at(&self, rank: &RankReady, row: u32) -> u64 {
+        if self.open_row == Some(row) {
+            self.next_read.max(rank.read)
+        } else {
+            NEVER
+        }
+    }
+
+    /// Earliest WRITE of `row` ([`NEVER`] unless `row` is open).
+    #[inline]
+    pub fn write_ready_at(&self, rank: &RankReady, row: u32) -> u64 {
+        if self.open_row == Some(row) {
+            self.next_write.max(rank.write)
+        } else {
+            NEVER
+        }
+    }
+}
+
+/// The rank- and bus-wide floor under every bank's command readiness:
+/// refresh, tRRD and tFAW for ACT, CAS-to-CAS spacing, write-to-read
+/// turnaround and data-bus availability for column commands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RankReady {
+    act: u64,
+    pre: u64,
+    read: u64,
+    write: u64,
 }
 
 /// Per-rank activity counters (drive the power model).
@@ -43,7 +104,9 @@ pub struct RankStats {
     pub writes: u64,
     /// REFRESH commands issued.
     pub refreshes: u64,
-    /// Cycles with at least one bank open (active-standby).
+    /// Cycles with at least one bank open (active-standby), counted at
+    /// each close-to-open and open-to-close transition; cycles of a
+    /// still-open stretch are added by [`Dram::settle_active`].
     pub active_cycles: u64,
 }
 
@@ -51,13 +114,20 @@ pub struct RankStats {
 #[derive(Debug, Clone)]
 pub struct Rank {
     banks: Vec<Bank>,
-    /// Times of the last four ACTs (tFAW window).
-    act_window: VecDeque<u64>,
+    /// Times of the last `faw_len` ACTs (tFAW window), a ring whose
+    /// oldest entry sits at `faw_head` once it holds four.
+    faw: [u64; 4],
+    faw_head: usize,
+    faw_len: usize,
     next_act_rrd: u64,
     next_read_cas: u64,
     next_write_cas: u64,
     refresh_until: u64,
     next_refresh_due: u64,
+    /// Banks holding an open row, and the cycle the rank last went from
+    /// none to some (active-standby accounting).
+    open_banks: u32,
+    open_since: u64,
     /// Activity counters.
     pub stats: RankStats,
 }
@@ -66,24 +136,50 @@ impl Rank {
     fn new(banks: u32, refresh_offset: u64) -> Self {
         Self {
             banks: (0..banks).map(|_| Bank::new()).collect(),
-            act_window: VecDeque::with_capacity(4),
+            faw: [0; 4],
+            faw_head: 0,
+            faw_len: 0,
             next_act_rrd: 0,
             next_read_cas: 0,
             next_write_cas: 0,
             refresh_until: 0,
             next_refresh_due: refresh_offset,
+            open_banks: 0,
+            open_since: 0,
             stats: RankStats::default(),
         }
     }
 
     /// The bank states (read-only).
     pub fn bank(&self, b: u32) -> &Bank {
+        // indexing: callers pass bank ids of the topology.
         &self.banks[b as usize]
+    }
+
+    /// All bank states, in bank order.
+    pub fn banks(&self) -> &[Bank] {
+        &self.banks
     }
 
     /// `true` if any bank holds an open row.
     pub fn any_bank_open(&self) -> bool {
-        self.banks.iter().any(|b| b.open_row.is_some())
+        self.open_banks > 0
+    }
+
+    fn open_bank(&mut self, now: u64) {
+        if self.open_banks == 0 {
+            self.open_since = now;
+        }
+        self.open_banks += 1;
+    }
+
+    fn close_bank(&mut self, now: u64) {
+        self.open_banks -= 1;
+        if self.open_banks == 0 {
+            // Open after the commands of cycles open_since..now-1; the
+            // PRE at `now` leaves the rank closed for cycle `now`.
+            self.stats.active_cycles += now - self.open_since;
+        }
     }
 }
 
@@ -100,6 +196,7 @@ pub struct Channel {
 impl Channel {
     /// Rank accessor.
     pub fn rank(&self, r: u32) -> &Rank {
+        // indexing: callers pass rank ids of the topology.
         &self.ranks[r as usize]
     }
 }
@@ -139,21 +236,34 @@ impl Dram {
 
     /// Channel accessor.
     pub fn channel(&self, c: u32) -> &Channel {
+        // indexing: callers pass channel ids of the topology this was
+        // built for, as do the rank/bank accessors below.
         &self.channels[c as usize]
     }
 
+    fn rank(&self, c: u32, r: u32) -> &Rank {
+        // indexing: see `channel`.
+        &self.channel(c).ranks[r as usize]
+    }
+
     fn rank_mut(&mut self, c: u32, r: u32) -> &mut Rank {
+        // indexing: see `channel`.
         &mut self.channels[c as usize].ranks[r as usize]
     }
 
-    /// Accounts one elapsed cycle of active-standby time (call once per
-    /// cycle from the driver).
-    pub fn tick_stats(&mut self, _now: u64) {
-        for ch in &mut self.channels {
-            for rank in &mut ch.ranks {
-                if rank.any_bank_open() {
-                    rank.stats.active_cycles += 1;
-                }
+    fn bank_of(&self, c: u32, r: u32, b: u32) -> &Bank {
+        // indexing: see `channel`.
+        &self.rank(c, r).banks[b as usize]
+    }
+
+    /// Adds the active-standby cycles of every rank still holding an
+    /// open row through the end of cycle `now` (call once when a run
+    /// ends; later transitions count from `now + 1`).
+    pub fn settle_active(&mut self, now: u64) {
+        for rank in self.channels.iter_mut().flat_map(|ch| ch.ranks.iter_mut()) {
+            if rank.open_banks > 0 {
+                rank.stats.active_cycles += now + 1 - rank.open_since;
+                rank.open_since = now + 1;
             }
         }
     }
@@ -162,13 +272,26 @@ impl Dram {
 
     /// `true` if the rank is due (or overdue) for a refresh.
     pub fn refresh_due(&self, c: u32, r: u32, now: u64) -> bool {
-        let rank = self.channel(c).rank(r);
-        now >= rank.next_refresh_due
+        now >= self.rank(c, r).next_refresh_due
     }
 
     /// `true` if the rank is currently executing a refresh.
     pub fn refreshing(&self, c: u32, r: u32, now: u64) -> bool {
-        now < self.channel(c).rank(r).refresh_until
+        now < self.rank(c, r).refresh_until
+    }
+
+    /// The earliest cycle after `now` at which some rank of the channel
+    /// becomes due for refresh or finishes one ([`NEVER`] if none).
+    pub fn next_refresh_event(&self, c: u32, now: u64) -> u64 {
+        let mut at = NEVER;
+        for rank in &self.channel(c).ranks {
+            for t in [rank.next_refresh_due, rank.refresh_until] {
+                if t > now {
+                    at = at.min(t);
+                }
+            }
+        }
+        at
     }
 
     /// Issues a refresh: all banks are closed and the rank blocks for
@@ -187,31 +310,53 @@ impl Dram {
         }
         // tFAW bookkeeping: a refresh internally activates rows, but JEDEC
         // only requires tRFC before the next ACT; clear the window.
-        rank.act_window.clear();
+        rank.faw_len = 0;
         rank.next_act_rrd = rank.next_act_rrd.max(now + t_rfc.min(t_rc));
         rank.stats.refreshes += 1;
     }
 
     // ---- activate ---------------------------------------------------
 
+    /// The rank's readiness floor (see [`RankReady`]); with the bank's
+    /// own registers it gives every command's readiness.
+    pub fn rank_ready(&self, c: u32, r: u32) -> RankReady {
+        let t = &self.timing;
+        let rank = self.rank(c, r);
+        let mut act = rank.refresh_until.max(rank.next_act_rrd);
+        if rank.faw_len == 4 {
+            // indexing: faw_head is kept below 4.
+            act = act.max(rank.faw[rank.faw_head] + t.t_faw);
+        }
+        // A burst may start once the bus is free, plus tRTRS when it
+        // switches ranks.
+        let ch = self.channel(c);
+        let mut bus = ch.data_bus_free;
+        if ch.last_data_rank.is_some() && ch.last_data_rank != Some(r) {
+            bus += t.t_rtrs;
+        }
+        RankReady {
+            act,
+            pre: rank.refresh_until,
+            read: rank
+                .refresh_until
+                .max(rank.next_read_cas)
+                .max(bus.saturating_sub(t.t_cas)),
+            write: rank
+                .refresh_until
+                .max(rank.next_write_cas)
+                .max(bus.saturating_sub(t.t_cwd)),
+        }
+    }
+
+    /// Earliest cycle ACT may issue to the bank ([`NEVER`] while a row is
+    /// open).
+    pub fn act_ready_at(&self, c: u32, r: u32, b: u32) -> u64 {
+        self.bank_of(c, r, b).act_ready_at(&self.rank_ready(c, r))
+    }
+
     /// `true` if ACT(row) may issue to the bank at `now`.
     pub fn can_activate(&self, c: u32, r: u32, b: u32, now: u64) -> bool {
-        let rank = self.channel(c).rank(r);
-        if now < rank.refresh_until {
-            return false;
-        }
-        let bank = rank.bank(b);
-        if bank.open_row.is_some() || now < bank.next_act || now < rank.next_act_rrd {
-            return false;
-        }
-        if rank.act_window.len() == 4 {
-            if let Some(&oldest) = rank.act_window.front() {
-                if now < oldest + self.timing.t_faw {
-                    return false;
-                }
-            }
-        }
-        true
+        self.act_ready_at(c, r, b) <= now
     }
 
     /// Issues ACT(row).
@@ -219,6 +364,7 @@ impl Dram {
         debug_assert!(self.can_activate(c, r, b, now));
         let t = self.timing;
         let rank = self.rank_mut(c, r);
+        // indexing: see `channel`.
         let bank = &mut rank.banks[b as usize];
         bank.open_row = Some(row);
         bank.next_read = now + t.t_rcd;
@@ -226,55 +372,54 @@ impl Dram {
         bank.next_pre = now + t.t_ras;
         bank.next_act = now + t.t_rc;
         rank.next_act_rrd = now + t.t_rrd;
-        if rank.act_window.len() == 4 {
-            rank.act_window.pop_front();
+        // indexing: faw_head is kept below 4.
+        rank.faw[(rank.faw_head + rank.faw_len) % 4] = now;
+        if rank.faw_len == 4 {
+            rank.faw_head = (rank.faw_head + 1) % 4;
+        } else {
+            rank.faw_len += 1;
         }
-        rank.act_window.push_back(now);
+        rank.open_bank(now);
         rank.stats.acts += 1;
     }
 
     // ---- precharge --------------------------------------------------
 
+    /// Earliest cycle PRE may issue to the bank ([`NEVER`] while it is
+    /// closed).
+    pub fn pre_ready_at(&self, c: u32, r: u32, b: u32) -> u64 {
+        self.bank_of(c, r, b).pre_ready_at(&self.rank_ready(c, r))
+    }
+
     /// `true` if PRE may issue to the bank at `now`.
     pub fn can_precharge(&self, c: u32, r: u32, b: u32, now: u64) -> bool {
-        let rank = self.channel(c).rank(r);
-        if now < rank.refresh_until {
-            return false;
-        }
-        let bank = rank.bank(b);
-        bank.open_row.is_some() && now >= bank.next_pre
+        self.pre_ready_at(c, r, b) <= now
     }
 
     /// Issues PRE.
     pub fn issue_precharge(&mut self, c: u32, r: u32, b: u32, now: u64) {
         debug_assert!(self.can_precharge(c, r, b, now));
         let t_rp = self.timing.t_rp;
-        let bank = &mut self.rank_mut(c, r).banks[b as usize];
+        let rank = self.rank_mut(c, r);
+        // indexing: see `channel`.
+        let bank = &mut rank.banks[b as usize];
         bank.open_row = None;
         bank.next_act = bank.next_act.max(now + t_rp);
+        rank.close_bank(now);
     }
 
     // ---- column access ----------------------------------------------
 
-    fn data_bus_ready(&self, c: u32, r: u32, data_start: u64) -> bool {
-        let ch = self.channel(c);
-        let mut earliest = ch.data_bus_free;
-        if ch.last_data_rank.is_some() && ch.last_data_rank != Some(r) {
-            earliest += self.timing.t_rtrs;
-        }
-        data_start >= earliest
+    /// Earliest cycle READ may issue to `(rank, bank)` for `row`
+    /// ([`NEVER`] unless `row` is the open row).
+    pub fn read_ready_at(&self, c: u32, r: u32, b: u32, row: u32) -> u64 {
+        self.bank_of(c, r, b)
+            .read_ready_at(&self.rank_ready(c, r), row)
     }
 
     /// `true` if READ may issue to `(rank, bank)` for `row` at `now`.
     pub fn can_read(&self, c: u32, r: u32, b: u32, row: u32, now: u64) -> bool {
-        let rank = self.channel(c).rank(r);
-        if now < rank.refresh_until || now < rank.next_read_cas {
-            return false;
-        }
-        let bank = rank.bank(b);
-        bank.open_row == Some(row)
-            && now >= bank.next_read
-            && self.data_bus_ready(c, r, now + self.timing.t_cas)
+        self.read_ready_at(c, r, b, row) <= now
     }
 
     /// Issues READ; returns the cycle the last data beat arrives.
@@ -284,6 +429,7 @@ impl Dram {
         let data_start = now + t.t_cas;
         let data_end = data_start + t.t_burst;
         {
+            // indexing: see `channel`.
             let ch = &mut self.channels[c as usize];
             ch.data_bus_free = data_end;
             ch.last_data_rank = Some(r);
@@ -292,22 +438,23 @@ impl Dram {
         let rank = self.rank_mut(c, r);
         rank.next_read_cas = rank.next_read_cas.max(now + t.t_ccd);
         rank.next_write_cas = rank.next_write_cas.max(data_end + t.t_rtrs);
+        // indexing: see `channel`.
         let bank = &mut rank.banks[b as usize];
         bank.next_pre = bank.next_pre.max(now + t.t_rtp);
         rank.stats.reads += 1;
         data_end
     }
 
+    /// Earliest cycle WRITE may issue to `(rank, bank)` for `row`
+    /// ([`NEVER`] unless `row` is the open row).
+    pub fn write_ready_at(&self, c: u32, r: u32, b: u32, row: u32) -> u64 {
+        self.bank_of(c, r, b)
+            .write_ready_at(&self.rank_ready(c, r), row)
+    }
+
     /// `true` if WRITE may issue to `(rank, bank)` for `row` at `now`.
     pub fn can_write(&self, c: u32, r: u32, b: u32, row: u32, now: u64) -> bool {
-        let rank = self.channel(c).rank(r);
-        if now < rank.refresh_until || now < rank.next_write_cas {
-            return false;
-        }
-        let bank = rank.bank(b);
-        bank.open_row == Some(row)
-            && now >= bank.next_write
-            && self.data_bus_ready(c, r, now + self.timing.t_cwd)
+        self.write_ready_at(c, r, b, row) <= now
     }
 
     /// Issues WRITE; returns the cycle the last data beat is written.
@@ -317,6 +464,7 @@ impl Dram {
         let data_start = now + t.t_cwd;
         let data_end = data_start + t.t_burst;
         {
+            // indexing: see `channel`.
             let ch = &mut self.channels[c as usize];
             ch.data_bus_free = data_end;
             ch.last_data_rank = Some(r);
@@ -326,6 +474,7 @@ impl Dram {
         rank.next_write_cas = rank.next_write_cas.max(now + t.t_ccd);
         // Write-to-read turnaround (tWTR) applies from end of write data.
         rank.next_read_cas = rank.next_read_cas.max(data_end + t.t_wtr);
+        // indexing: see `channel`.
         let bank = &mut rank.banks[b as usize];
         // Write recovery before precharge.
         bank.next_pre = bank.next_pre.max(data_end + t.t_wr);
@@ -466,13 +615,75 @@ mod tests {
     }
 
     #[test]
-    fn active_cycles_accumulate() {
+    fn active_cycles_follow_open_close_transitions() {
         let mut d = dram();
-        d.tick_stats(0);
-        assert_eq!(d.channel(0).rank(0).stats.active_cycles, 0);
+        let t = *d.timing();
+        let active = |d: &Dram, r: u32| d.channel(0).rank(r).stats.active_cycles;
+        // Two overlapping open stretches count once: the rank is active
+        // from the first ACT until the last PRE.
         d.issue_activate(0, 0, 0, 5, 0);
-        d.tick_stats(1);
-        d.tick_stats(2);
-        assert_eq!(d.channel(0).rank(0).stats.active_cycles, 2);
+        d.issue_activate(0, 0, 1, 6, t.t_rrd);
+        d.issue_precharge(0, 0, 0, t.t_ras);
+        assert_eq!(active(&d, 0), 0, "one bank still open");
+        let close = t.t_rrd + t.t_ras;
+        d.issue_precharge(0, 0, 1, close);
+        assert_eq!(active(&d, 0), close, "cycles 0..close-1");
+        // A refresh runs with every bank closed and adds nothing.
+        let due = d.channel(0).rank(0).next_refresh_due;
+        assert!(due > close);
+        d.issue_refresh(0, 0, due);
+        assert_eq!(active(&d, 0), close);
+        // Reopened after tRFC and still open when the run ends: the
+        // settle adds the open stretch through the final cycle inclusive.
+        let reopen = due + t.t_rfc;
+        d.issue_activate(0, 0, 2, 1, reopen);
+        let end = reopen + 9;
+        d.settle_active(end);
+        assert_eq!(active(&d, 0), close + 10);
+        // A second settle at the same cycle adds nothing; the idle rank
+        // never accrues.
+        d.settle_active(end);
+        assert_eq!(active(&d, 0), close + 10);
+        assert_eq!(active(&d, 1), 0);
+        // Closing after a settle counts only the cycles since it.
+        d.issue_precharge(0, 0, 2, end + 20);
+        assert_eq!(active(&d, 0), close + 10 + 19);
+    }
+
+    #[test]
+    fn ready_at_is_the_first_cycle_can_passes() {
+        // Scripted commands, then every query checked against a scan of
+        // the `can_*` predicate over the following cycles.
+        let mut d = dram();
+        let t = *d.timing();
+        d.issue_activate(0, 0, 0, 5, 0);
+        d.issue_activate(0, 1, 0, 5, 1);
+        d.issue_write(0, 0, 0, 5, t.t_rcd);
+        let now = t.t_rcd + 1;
+        let first = |pred: &dyn Fn(u64) -> bool| (now..now + 400).find(|&c| pred(c));
+        let expect = |at: u64| (at != NEVER).then_some(at.max(now));
+        for (r, b) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            assert_eq!(
+                first(&|c| d.can_activate(0, r, b, c)),
+                expect(d.act_ready_at(0, r, b))
+            );
+            assert_eq!(
+                first(&|c| d.can_precharge(0, r, b, c)),
+                expect(d.pre_ready_at(0, r, b))
+            );
+            for row in [5, 6] {
+                assert_eq!(
+                    first(&|c| d.can_read(0, r, b, row, c)),
+                    expect(d.read_ready_at(0, r, b, row))
+                );
+                assert_eq!(
+                    first(&|c| d.can_write(0, r, b, row, c)),
+                    expect(d.write_ready_at(0, r, b, row))
+                );
+            }
+        }
+        assert_eq!(d.act_ready_at(0, 0, 0), NEVER);
+        assert_eq!(d.pre_ready_at(0, 0, 1), NEVER);
+        assert_eq!(d.read_ready_at(0, 0, 0, 6), NEVER);
     }
 }

@@ -37,7 +37,7 @@ pub struct SimConfig {
     pub file_trace: Option<FileTrace>,
     /// Run every completed demand read through the functional (72,64)
     /// CRC8-ATM line decoder ([`crate::eccpath`]). Off by default: it does
-    /// not affect timing, only the `ecc` counters of [`SimResult`].
+    /// not affect timing, only adds the `ecc` counters to [`SimResult`].
     pub functional_ecc: bool,
 }
 
@@ -58,13 +58,10 @@ impl Default for SimConfig {
     }
 }
 
-/// Results of one simulation run.
+/// Results of one simulation run (the scheme and benchmark are those of
+/// its [`SimConfig`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
-    /// Scheme evaluated.
-    pub scheme_name: &'static str,
-    /// Benchmark evaluated.
-    pub workload_name: &'static str,
     /// Memory cycles until the last core finished (execution time).
     pub cycles: u64,
     /// Mean per-core finish time in memory cycles.
@@ -79,8 +76,6 @@ pub struct SimResult {
     pub acts: u64,
     /// Mean demand-read latency (memory cycles).
     pub avg_read_latency: f64,
-    /// Fraction of column accesses served without a new activate.
-    pub row_hit_rate: f64,
     /// Data-bus utilization (busy cycles / total cycles / channels).
     pub bus_utilization: f64,
     /// Total core cycles fully stalled with the ROB blocked on memory.
@@ -89,12 +84,24 @@ pub struct SimResult {
     pub queue_stall_cycles: u64,
     /// Power breakdown.
     pub power: PowerBreakdown,
-    /// Functional ECC decode-path counters (all zero unless
-    /// [`SimConfig::functional_ecc`] is set).
-    pub ecc: EccPathStats,
+    /// Functional ECC decode-path counters, present when
+    /// [`SimConfig::functional_ecc`] is set. Boxed: callers keep results
+    /// by the thousand, and most runs leave the decode path off.
+    pub ecc: Option<Box<EccPathStats>>,
 }
 
 impl SimResult {
+    /// Fraction of column accesses (reads plus writes) served without a
+    /// new activate.
+    pub fn row_hit_rate(&self) -> f64 {
+        let col_accesses = self.reads + self.writes;
+        if col_accesses > 0 {
+            1.0 - (self.acts.min(col_accesses) as f64 / col_accesses as f64)
+        } else {
+            0.0
+        }
+    }
+
     /// Execution time in nanoseconds (800 MHz bus).
     pub fn exec_time_ns(&self) -> f64 {
         self.cycles as f64 * 1.25
@@ -173,14 +180,21 @@ impl Simulation {
         let mut write_accum = 0.0f64;
         let mut reads_seen: u64 = 0;
 
+        // Event-driven stepping (DESIGN.md §18): each iteration handles one
+        // cycle in the per-cycle order — controller, completions, overlay
+        // retries, cores — but only for the channels and cores that can
+        // act in it, then jumps to the next cycle where one can.
+        let mut done: Vec<u64> = Vec::with_capacity(topology.channels as usize);
         let mut now: u64 = 0;
         loop {
             // Completions → cores (after the optional functional decode).
-            for id in controller.tick(now) {
-                if let Some((core, instr, line_addr)) = read_owner.remove(&id) {
+            controller.tick(now, &mut done);
+            for id in &done {
+                if let Some((core, instr, line_addr)) = read_owner.remove(id) {
                     if let Some(path) = eccpath.as_mut() {
                         let _ = path.read_line(line_addr);
                     }
+                    cores[core].catch_up(now);
                     cores[core].complete_read(instr);
                 }
             }
@@ -207,54 +221,66 @@ impl Simulation {
 
             // Cores issue demand traffic.
             for (ci, core) in cores.iter_mut().enumerate() {
-                core.tick(now, |req| {
-                    let id = next_id;
-                    let ok = if req.is_write {
-                        controller.enqueue_write(id, req.line_addr, now)
-                    } else {
-                        controller.enqueue_read(id, req.line_addr, now)
-                    };
-                    if !ok {
-                        return false;
-                    }
-                    next_id += 1;
-                    if req.is_write {
-                        write_accum += scheme.extra_writes_per_write;
-                        while write_accum >= 1.0 {
-                            write_accum -= 1.0;
-                            extra_writes.push_back(req.line_addr);
+                if core.wake_at() <= now {
+                    core.tick(now, |req| {
+                        let id = next_id;
+                        let ok = if req.is_write {
+                            controller.enqueue_write(id, req.line_addr, now)
+                        } else {
+                            controller.enqueue_read(id, req.line_addr, now)
+                        };
+                        if !ok {
+                            return false;
                         }
-                    } else {
-                        read_owner.insert(id, (ci, req.instr_no, req.line_addr));
-                        reads_seen += 1;
-                        read_accum += scheme.extra_reads_per_read;
-                        while read_accum >= 1.0 {
-                            read_accum -= 1.0;
-                            extra_reads.push_back(req.line_addr);
-                        }
-                        if let Some(every) = scheme.serial_mode_every {
-                            if reads_seen.is_multiple_of(every) {
-                                // Serial-mode episode: re-read with XED off
-                                // plus a scrub write (paper Section VII-B).
-                                extra_reads.push_back(req.line_addr);
+                        next_id += 1;
+                        if req.is_write {
+                            write_accum += scheme.extra_writes_per_write;
+                            while write_accum >= 1.0 {
+                                write_accum -= 1.0;
                                 extra_writes.push_back(req.line_addr);
                             }
+                        } else {
+                            read_owner.insert(id, (ci, req.instr_no, req.line_addr));
+                            reads_seen += 1;
+                            read_accum += scheme.extra_reads_per_read;
+                            while read_accum >= 1.0 {
+                                read_accum -= 1.0;
+                                extra_reads.push_back(req.line_addr);
+                            }
+                            if let Some(every) = scheme.serial_mode_every {
+                                if reads_seen.is_multiple_of(every) {
+                                    // Serial-mode episode: re-read with XED off
+                                    // plus a scrub write (paper Section VII-B).
+                                    extra_reads.push_back(req.line_addr);
+                                    extra_writes.push_back(req.line_addr);
+                                }
+                            }
                         }
-                    }
-                    true
-                });
+                        true
+                    });
+                }
             }
 
             if cores.iter().all(|c| c.finished()) {
                 break;
             }
-            now += 1;
+            // Overlay backlog retries every cycle.
+            let next = if extra_reads.is_empty() && extra_writes.is_empty() {
+                cores
+                    .iter()
+                    .map(Core::wake_at)
+                    .fold(controller.next_event(), u64::min)
+            } else {
+                now + 1
+            };
+            now = next.max(now + 1);
             assert!(
                 now < cfg.max_cycles,
                 "simulation exceeded {} cycles",
                 cfg.max_cycles
             );
         }
+        controller.settle(now);
 
         // invariant: the loop above exits only once every core reports
         // finished(), so finished_at() is Some for each core here.
@@ -306,25 +332,12 @@ impl Simulation {
         // Publish-at-merge (DESIGN.md §11): the run accumulated into the
         // controller's and datapath's owned stats; the global registry is
         // bumped once per simulation, here.
-        {
-            use xed_telemetry::registry::metrics;
-            xed_telemetry::count(
-                &metrics::MEMSIM_SCHED_READS_DONE,
-                controller.stats.reads_done,
-            );
-            xed_telemetry::count(
-                &metrics::MEMSIM_SCHED_WRITES_DONE,
-                controller.stats.writes_done,
-            );
-        }
+        controller.publish();
         if let Some(path) = eccpath.as_ref() {
             path.publish();
         }
 
-        let col_accesses = totals.reads + totals.writes;
         SimResult {
-            scheme_name: scheme.name,
-            workload_name: cfg.workload.name,
             cycles,
             avg_core_cycles,
             instructions: cfg.cores as u64 * cfg.instructions_per_core,
@@ -336,16 +349,11 @@ impl Simulation {
             } else {
                 0.0
             },
-            row_hit_rate: if col_accesses > 0 {
-                1.0 - (totals.acts.min(col_accesses) as f64 / col_accesses as f64)
-            } else {
-                0.0
-            },
             bus_utilization: bus_busy as f64 / (cycles as f64 * topology.channels as f64),
             rob_stall_cycles,
             queue_stall_cycles,
             power,
-            ecc: eccpath.map(|p| p.stats()).unwrap_or_default(),
+            ecc: eccpath.map(|p| Box::new(p.stats())),
         }
     }
 }
@@ -372,7 +380,7 @@ mod tests {
         assert!(r.writes > 0);
         assert!(r.power_mw() > 0.0);
         assert!(r.avg_read_latency >= DdrTiming::ddr3_1600().read_latency() as f64);
-        assert!(r.row_hit_rate > 0.0 && r.row_hit_rate < 1.0);
+        assert!(r.row_hit_rate() > 0.0 && r.row_hit_rate() < 1.0);
     }
 
     #[test]
@@ -446,16 +454,17 @@ mod tests {
             .run()
         };
         let r = run();
-        assert!(r.ecc.lines_decoded > 0);
+        let ecc = r.ecc.as_deref().expect("functional ECC ran");
+        assert!(ecc.lines_decoded > 0);
         // Every *processed* demand-read completion is decoded; reads still
         // in flight when the last core retires never reach the datapath.
-        assert!(r.ecc.lines_decoded <= r.reads);
-        assert!(r.reads - r.ecc.lines_decoded < 16);
+        assert!(ecc.lines_decoded <= r.reads);
+        assert!(r.reads - ecc.lines_decoded < 16);
         // Deterministic, including the injected-error counters.
         assert_eq!(r, run());
-        // Off by default: the counters stay zero.
+        // Off by default: no counters.
         let base = quick("comm1", ReliabilityScheme::baseline_secded(), 30_000);
-        assert_eq!(base.ecc, crate::eccpath::EccPathStats::default());
+        assert_eq!(base.ecc, None);
     }
 
     #[test]

@@ -139,6 +139,64 @@ impl Default for Histogram {
     }
 }
 
+impl Histogram {
+    /// Adds every observation of an owned [`LocalHistogram`] (the
+    /// publish-at-merge path). Empty buckets are skipped; the totals
+    /// equal recording each observation here directly.
+    pub fn merge_from(&self, local: &LocalHistogram) {
+        for (b, &n) in self.buckets.iter().zip(local.buckets.iter()) {
+            if n != 0 {
+                b.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.max.fetch_max(local.max, Ordering::Relaxed);
+    }
+}
+
+/// An owned, non-atomic log2 histogram with the bucket layout of
+/// [`Histogram`]: a hot loop records into one with plain adds and
+/// publishes it once with [`Histogram::merge_from`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalHistogram {
+    buckets: [u64; BUCKETS],
+    sum: u64,
+    max: u64,
+}
+
+impl LocalHistogram {
+    /// An empty histogram.
+    pub const fn new() -> Self {
+        Self {
+            buckets: [0; BUCKETS],
+            sum: 0,
+            max: 0,
+        }
+    }
+
+    /// Records one observation of `v`.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        // indexing: bucket_of returns at most BUCKETS - 1.
+        self.buckets[bucket_of(v)] += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Total observations.
+    pub fn count(&self) -> u64 {
+        self.buckets
+            .iter()
+            .fold(0u64, |acc, &b| acc.wrapping_add(b))
+    }
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +263,25 @@ mod tests {
             h.record(v);
         }
         assert!((h.mean() - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merged_local_equals_direct_records() {
+        let direct = Histogram::new();
+        let merged = Histogram::new();
+        let mut local = LocalHistogram::new();
+        for v in [0u64, 1, 5, 5, 900, u64::MAX, 3] {
+            direct.record(v);
+            local.record(v);
+        }
+        assert_eq!(local.count(), 7);
+        merged.record(2);
+        direct.record(2);
+        merged.merge_from(&local);
+        assert_eq!(merged.sample(), direct.sample());
+        // Merging an empty local histogram changes nothing.
+        merged.merge_from(&LocalHistogram::new());
+        assert_eq!(merged.sample(), direct.sample());
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   into *owned* [`Tallies`] blocks with plain adds — zero atomics — and
 //!   publishes the totals into the static [`registry`] counters once, at
 //!   its natural merge point (end of `run_many`, end of a simulation).
-//!   Only genuinely cheap-per-event instrumentation (a histogram record
-//!   per 4096-trial chunk, a queue-depth sample per enqueue in the
-//!   microsecond-scale memory simulator) records live.
+//!   Owned [`LocalHistogram`]s do the same for distributions (the memory
+//!   simulator's queue-depth and read-latency samples). Only genuinely
+//!   cheap-per-event instrumentation (a histogram record per 4096-trial
+//!   chunk) records live.
 //! * **Stable dotted metric IDs.** Every metric is a static registered
 //!   exactly once in [`registry::CATALOGUE`] under an ID like
 //!   `faultsim.trials` or `core.xed.catchword_collisions`; xed-lint XL010
@@ -64,7 +65,7 @@ pub mod trace;
 
 pub use counter::Counter;
 pub use export::{HistogramSample, MetricSample, SampleValue, Snapshot};
-pub use hist::Histogram;
+pub use hist::{Histogram, LocalHistogram};
 pub use registry::{snapshot, MetricDef, MetricSource};
 pub use ring::{Event, EventKind, Ring};
 pub use span::Span;
@@ -114,6 +115,13 @@ pub fn count(c: &Counter, n: u64) {
 pub fn observe(h: &Histogram, v: u64) {
     if enabled() {
         h.record(v);
+    }
+}
+
+/// Publishes an owned histogram into `h` when telemetry is enabled.
+pub fn publish(h: &Histogram, local: &LocalHistogram) {
+    if enabled() {
+        h.merge_from(local);
     }
 }
 

@@ -76,7 +76,9 @@ pub struct Analysis {
 /// kernels, the code-inference syndrome kernels (`SyndromeCode::syndrome`
 /// and `::decode` run once per enumerated double inside the
 /// miscorrection census), the Monte-Carlo trial evaluation, the
-/// telemetry write path,
+/// telemetry write path, the memory simulator's controller tick (run at
+/// every simulated cycle where a channel can act, filling a
+/// caller-owned completion buffer),
 /// and the `xedd` daemon's memoized repeat-query path (canonical-key
 /// derivation plus the cache hit lookup — the two stages every repeat
 /// request runs, which DESIGN.md §15 requires to be O(1) and
@@ -226,6 +228,14 @@ pub const HOT_GROUPS: &[GroupSpec] = &[
                 name: "observe",
             },
         ],
+    },
+    GroupSpec {
+        name: "memsim-tick",
+        entries: &[EntrySpec {
+            krate: "xed_memsim",
+            self_type: Some("MemController"),
+            name: "tick",
+        }],
     },
     GroupSpec {
         name: "xedd-request",

@@ -34,6 +34,17 @@ XEDD_GIT_HASH="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)" \
 step "cargo test -q"
 cargo test -q --workspace
 
+# Gating: Figures 11-14 are pinned byte for byte (DESIGN.md §18). Rerun
+# them at the parameters their committed sidecars record, writing the
+# tables from stdout, and fail on any diff in the tables or the JSON
+# sidecars (embedded memsim.sched.* telemetry included).
+step "fig11-fig14 reproduce the committed results"
+for fig in 11:fig11_exec_time 12:fig12_power 13:fig13_alternatives 14:fig14_lotecc; do
+    ./target/release/"${fig#*:}" --instructions 150000 --seed 2016 \
+        >"results/fig${fig%%:*}.txt"
+done
+git diff --exit-code -- 'results/fig1[1-4].*'
+
 # Gating: the bit-sliced trial kernel must stay bit-identical to the
 # scalar path under *release* codegen too — the debug `cargo test`
 # above proves the unoptimized build, this re-runs the equivalence and

@@ -42,10 +42,10 @@ fn streaming_workload_has_higher_row_hit_rate() {
     let streaming = run("libquantum", ReliabilityScheme::baseline_secded(), 40_000);
     let random = run("mcf", ReliabilityScheme::baseline_secded(), 40_000);
     assert!(
-        streaming.row_hit_rate > random.row_hit_rate + 0.2,
+        streaming.row_hit_rate() > random.row_hit_rate() + 0.2,
         "libquantum {} vs mcf {}",
-        streaming.row_hit_rate,
-        random.row_hit_rate
+        streaming.row_hit_rate(),
+        random.row_hit_rate()
     );
 }
 

@@ -38,6 +38,9 @@ fn counter(id: &str) -> u64 {
 
 /// Drives a XedController through reconstruction, collision, serial-mode
 /// and diagnosis episodes (the same deterministic shape `xedstat` uses).
+/// The faults carry fixed corruption seeds: fresh ones come from a
+/// process-wide counter, which would make two drives in one process
+/// differ with test order.
 fn drive_xed(c: &mut XedController, lines: u64) {
     let geometry = c.geometry();
     let data = [11u64, 22, 33, 44, 55, 66, 77, 88];
@@ -45,7 +48,10 @@ fn drive_xed(c: &mut XedController, lines: u64) {
         c.write_line(geometry.addr(l), &data);
     }
     let a = geometry.addr(1);
-    c.inject_fault(2, InjectedFault::word(a, FaultKind::Transient));
+    c.inject_fault(
+        2,
+        InjectedFault::word(a, FaultKind::Transient).with_seed(0x5EED_0001),
+    );
     let _ = c.read_line(a);
     let _ = c.read_line(a);
     let cw = c.catch_word(4).value();
@@ -58,7 +64,8 @@ fn drive_xed(c: &mut XedController, lines: u64) {
     let row_addr = geometry.addr(lines / 2);
     c.inject_fault(
         5,
-        InjectedFault::row(row_addr.bank, row_addr.row, FaultKind::Permanent),
+        InjectedFault::row(row_addr.bank, row_addr.row, FaultKind::Permanent)
+            .with_seed(0x5EED_0002),
     );
     for l in 0..lines {
         let _ = c.read_line(geometry.addr(l));
@@ -203,4 +210,65 @@ fn disabling_telemetry_keeps_legacy_stats_and_silences_registry() {
     drive_xed(&mut c2, 64);
     assert_eq!(c2.stats(), disabled_stats);
     assert_eq!(counter("core.xed.reads"), disabled_stats.reads);
+}
+
+#[test]
+fn memsim_scheduler_histograms_publish_once_per_run() {
+    use xed_memsim::addrmap::Topology;
+    use xed_memsim::scheduler::{MemController, SchedConfig};
+    use xed_memsim::timing::DdrTiming;
+
+    let _guard = registry_lock();
+    let hist_count = |id: &str| {
+        xed_telemetry::snapshot()
+            .histogram(id)
+            .unwrap_or_else(|| panic!("histogram {id} missing from the registry"))
+            .count()
+    };
+    let mut mc = MemController::new(
+        Topology::baseline(),
+        DdrTiming::ddr3_1600(),
+        SchedConfig::default(),
+    );
+    // Bursts of reads (some bounce off full queues) and writes, stepped
+    // at the controller's own event cycles until every request is done.
+    let (mut enqueued, mut next_id, mut now) = (0u64, 1u64, 0u64);
+    let mut done = Vec::new();
+    for burst in 0..20u64 {
+        for k in 0..100u64 {
+            let addr = burst * 7_919 + k * 4;
+            if mc.enqueue_read(next_id, addr, now) {
+                enqueued += 1;
+                next_id += 1;
+            }
+            if k % 5 == 0 && mc.enqueue_write(next_id, addr + 1, now) {
+                next_id += 1;
+            }
+        }
+        while mc.pending() > 0 {
+            now = mc.next_event().max(now + 1);
+            mc.tick(now, &mut done);
+        }
+    }
+    assert!(enqueued < 2_000, "some reads bounced off a full queue");
+    assert_eq!(mc.stats.reads_done, enqueued);
+    // Nothing reaches the registry until the end-of-run publish.
+    assert_eq!(hist_count("memsim.sched.queue_depth"), 0);
+    assert_eq!(hist_count("memsim.sched.read_latency"), 0);
+    mc.publish();
+    assert_eq!(hist_count("memsim.sched.queue_depth"), enqueued);
+    assert_eq!(hist_count("memsim.sched.read_latency"), mc.stats.reads_done);
+    assert_eq!(counter("memsim.sched.reads_done"), mc.stats.reads_done);
+    assert_eq!(counter("memsim.sched.writes_done"), mc.stats.writes_done);
+
+    // A whole simulation publishes exactly once, at its end.
+    registry::reset_all();
+    let r = xed_memsim::sim::Simulation::new(xed_memsim::sim::SimConfig {
+        instructions_per_core: 5_000,
+        ..Default::default()
+    })
+    .run();
+    assert_eq!(hist_count("memsim.sched.read_latency"), r.reads);
+    assert_eq!(counter("memsim.sched.reads_done"), r.reads);
+    assert!(hist_count("memsim.sched.queue_depth") >= r.reads);
 }
