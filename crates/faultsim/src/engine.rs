@@ -18,7 +18,8 @@
 //! * [`evaluate`] answers a query; [`evaluate_streaming`] additionally
 //!   reports a [`Progress`] snapshot after every trial block, each
 //!   bit-identical to a batch run of that many samples (the
-//!   `merge_from`/`run_range_timed` contract), honoring `epsilon`.
+//!   [`MonteCarlo::run_range`] + [`SchemeResult::merge_from`] contract),
+//!   honoring `epsilon`.
 //! * [`Sweep`] is the batch front door the figure binaries use for
 //!   multi-scheme sweeps over one work-stealing pool.
 
@@ -32,9 +33,11 @@ use crate::schemes::{CodeModel, ModelParams, Scheme};
 use std::fmt;
 use xed_telemetry::trace::{self, Phase, SpanCtx, SpanEvent};
 
-/// Trials per streamed partial-confidence block (¼ of the paper-scale
-/// second at the measured ~100M samples/sec, and a multiple of both the
-/// 64-lane bit-slice blocks and the 4096-trial steal chunks).
+/// Trials per streamed partial-confidence block (2¹⁸): a multiple of both
+/// the 64-lane bit-slice blocks and the 4096-trial steal chunks, so every
+/// block but the last splits into whole chunks; 64 chunks per block keep
+/// the per-block fan-out and merge negligible, while a paper-scale query
+/// of 10⁸–10⁹ trials still streams hundreds of partials.
 pub const DEFAULT_BLOCK: u64 = 1 << 18;
 
 /// Version tag absorbed first into every canonical key. Bump whenever the
@@ -43,13 +46,19 @@ pub const DEFAULT_BLOCK: u64 = 1 << 18;
 /// uncertainty knob).
 const KEY_VERSION: u64 = 2;
 
+/// Largest `Exec::threads` a query may ask for. [`Query::validate`]
+/// rejects more, so a hostile request cannot make one evaluation spawn an
+/// unbounded number of OS threads.
+pub const MAX_THREADS: usize = 256;
+
 /// Execution knobs: how a query runs, never *what* it computes. Excluded
 /// from [`Query::canonical_key`] — results are thread-count- and
 /// kernel-invariant by the engine's reproducibility contract, and the
 /// block size only changes where partials are emitted, not their values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exec {
-    /// Worker threads; `0` = all available cores.
+    /// Worker threads; `0` = all available cores. At most
+    /// [`MAX_THREADS`].
     pub threads: usize,
     /// Per-trial evaluation kernel (results bit-identical either way).
     pub kernel: TrialKernel,
@@ -140,6 +149,12 @@ impl Query {
             return Err(format!(
                 "years must be finite and positive, got {}",
                 self.years
+            ));
+        }
+        if self.exec.threads > MAX_THREADS {
+            return Err(format!(
+                "threads must be at most {MAX_THREADS}, got {}",
+                self.exec.threads
             ));
         }
         if let Some(eps) = self.epsilon {
@@ -577,14 +592,16 @@ fn evaluate_streaming_inner(
             let mut done = 0u64;
             while done < q.samples {
                 let n = block.min(q.samples - done);
-                let report = mc.run_range_timed(q.scheme, done, n);
+                let (mut part, part_stats) = mc.run_range(&[q.scheme], done, n);
+                // invariant: run_range returns exactly one result per input scheme.
+                let part = part.pop().expect("one scheme in, one result out");
                 done += n;
                 let (result, stats) = match acc.take() {
                     Some((mut result, stats)) => {
-                        result.merge_from(&report.result);
-                        (result, stats.merge(&report.stats))
+                        result.merge_from(&part);
+                        (result, stats.merge(&part_stats))
                     }
-                    None => (report.result, report.stats),
+                    None => (part, part_stats),
                 };
                 let progress = Progress::from_result(&result, q.samples);
                 acc = Some((result, stats));
@@ -694,12 +711,15 @@ impl Sweep {
 
     /// Runs every scheme over one shared work-stealing pool.
     pub fn run_all(&self, schemes: &[Scheme]) -> (Vec<SchemeResult>, RunStats) {
-        self.monte_carlo().run_all_timed(schemes)
+        self.monte_carlo().run_range(schemes, 0, self.samples)
     }
 
     /// Runs one scheme.
     pub fn run_one(&self, scheme: Scheme) -> RunReport {
-        self.monte_carlo().run_timed(scheme)
+        let (mut results, stats) = self.run_all(&[scheme]);
+        // invariant: run_range returns exactly one result per input scheme.
+        let result = results.pop().expect("one scheme in, one result out");
+        RunReport { result, stats }
     }
 
     /// The [`Query`] equivalent of running `scheme` under this sweep —
@@ -1065,6 +1085,9 @@ mod tests {
         q.params.on_die_miss = 1.5;
         assert!(q.validate().is_err(), "miss probability above 1");
         q.params.on_die_miss = 0.008;
+        q.exec.threads = MAX_THREADS + 1;
+        assert!(q.validate().is_err(), "more threads than MAX_THREADS");
+        q.exec.threads = MAX_THREADS;
         assert!(q.validate().is_ok());
     }
 }

@@ -18,11 +18,13 @@
 //! * [`system`] — channel/rank/chip organization of the evaluated systems;
 //! * [`scaling`] — birthtime ("scaling") fault modeling;
 //! * [`schemes`] — the protection schemes the paper compares;
-//! * [`montecarlo`] — the work-stealing, thread-count-invariant
-//!   simulation driver (per-trial counter-based RNG streams, bit-sliced
-//!   64-lane trial classification);
+//! * [`montecarlo`] — the thread-count-invariant simulation driver
+//!   (per-trial counter-based RNG streams, bit-sliced 64-lane trial
+//!   classification);
 //! * [`rareevent`] — the importance-sampled rare-event engine for
 //!   Table-IV-class tail probabilities;
+//! * `sched` (private) — the one work-stealing chunk scheduler both
+//!   engines fan their trials out on;
 //! * [`engine`] — the query facade every consumer (figure binaries,
 //!   benches, the `xedd` daemon) evaluates through: canonical config
 //!   keys, streaming partial-confidence evaluation, batch sweeps;
@@ -54,6 +56,7 @@ pub mod geometry;
 pub mod montecarlo;
 pub mod rareevent;
 pub mod scaling;
+mod sched;
 pub mod schemes;
 pub mod system;
 

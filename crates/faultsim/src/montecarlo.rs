@@ -15,12 +15,13 @@
 //!   scheme, trial)`. Randomness is therefore independent of which worker
 //!   executes the trial, which makes every [`SchemeResult`]
 //!   **bit-identical for any thread count** (enforced by tier-1 tests).
-//! * **Work-stealing chunk scheduler.** Workers repeatedly claim the next
-//!   `STEAL_CHUNK`-trial slice from a shared atomic counter spanning
-//!   *all* schemes of the invocation, so [`MonteCarlo::run_all`] is
-//!   parallel across schemes and no core idles at the tail. All
-//!   accumulators are `u64` counters (commutative merges), so the claim
-//!   order cannot affect results.
+//! * **Work-stealing chunk scheduler.** The trials of *all* schemes of
+//!   an invocation are cut into `STEAL_CHUNK`-trial chunks and fanned out
+//!   over the crate's one scheduler (`sched::steal_chunks`, shared with
+//!   the rare-event engine), so [`MonteCarlo::run_all`] is parallel
+//!   across schemes and no core idles at the tail. All accumulators are
+//!   `u64` counters (commutative merges), so the claim order cannot
+//!   affect results.
 //! * **Bit-sliced trial classification.** The default [`TrialKernel`]
 //!   processes trials in 64-lane blocks: the block's headline draws come
 //!   from one Weyl-incremented SplitMix64 sweep, the zero-fault decisions
@@ -32,25 +33,26 @@
 //!   buffers; `LifetimeSampler::sample_into` writes into them, and the
 //!   zero-fault fast path draws only the Poisson count (one uniform) for
 //!   the ~75 % of lifetimes that see no fault at all.
-//! * **Throughput instrumentation.** [`MonteCarlo::run_timed`] and
-//!   [`MonteCarlo::run_all_timed`] report wall time and samples/sec via
-//!   [`RunStats`]; the `mc_throughput` bench binary persists the trajectory
-//!   to `BENCH_faultsim.json`.
+//! * **One timed entry point.** [`MonteCarlo::run_range`] simulates a
+//!   trial range of any set of schemes and reports wall time and
+//!   samples/sec via [`RunStats`]; [`MonteCarlo::run`] and
+//!   [`MonteCarlo::run_all`] are its untimed whole-budget forms. The
+//!   `mc_throughput` bench binary persists the trajectory to
+//!   `BENCH_faultsim.json`.
 
 use crate::event::{FaultEvent, LifetimeSampler};
 use crate::fault::Persistence;
 use crate::fit::{FitRates, HOURS_PER_YEAR, LIFETIME_YEARS};
+use crate::sched;
 use crate::schemes::{ModelParams, Scheme, SchemeModel, Verdict};
 use rand::rngs::Streams;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use xed_telemetry::trace::{self, Phase, SpanCtx, SpanEvent};
 use xed_telemetry::{registry::metrics, Tallies};
 
-/// Trials claimed per scheduler steal. Large enough that the atomic
-/// `fetch_add` is noise (one per ~4k trials), small enough that the tail
-/// imbalance at the end of a run is microseconds. A multiple of [`LANES`],
-/// so every full chunk decomposes into whole bit-sliced blocks.
+/// Trials per scheduler chunk. Large enough that the chunk claim is noise
+/// (one per ~4k trials), small enough that the tail imbalance at the end
+/// of a run is microseconds. A multiple of [`LANES`], so every full chunk
+/// decomposes into whole bit-sliced blocks.
 const STEAL_CHUNK: u64 = 4096;
 
 /// Trials per bit-sliced block: one trial per bit of the classification
@@ -207,7 +209,7 @@ impl SchemeResult {
     /// range* into this one.
     ///
     /// Every field is a plain `u64` tally, so accumulating the range runs
-    /// `[0, B), [B, 2B), …` produced by [`MonteCarlo::run_range_timed`]
+    /// `[0, B), [B, 2B), …` produced by [`MonteCarlo::run_range`]
     /// is **bit-identical** to one batch run over the union of the ranges
     /// — trial randomness is a pure function of `(seed, scheme, trial)`,
     /// never of how the trial space was partitioned. This is the merge
@@ -362,13 +364,10 @@ impl MonteCarlo {
         &self.config
     }
 
-    /// Worker threads this configuration resolves to.
+    /// Worker threads this configuration resolves to (a run never uses
+    /// more workers than it has chunks).
     pub fn threads(&self) -> usize {
-        if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.threads
-        }
+        sched::resolve_threads(self.config.threads)
     }
 
     /// Simulates one scheme across all samples, in parallel.
@@ -376,50 +375,155 @@ impl MonteCarlo {
     /// The result is a pure function of `(seed, scheme, samples, years,
     /// params, rates)`; thread count only affects wall time.
     pub fn run(&self, scheme: Scheme) -> SchemeResult {
-        self.run_timed(scheme).result
+        let mut results = self.run_all(&[scheme]);
+        // invariant: run_range returns exactly one result per input scheme.
+        results.pop().expect("one scheme in, one result out")
     }
 
-    /// Like [`Self::run`], additionally reporting wall time and
-    /// samples/sec for this invocation.
-    pub fn run_timed(&self, scheme: Scheme) -> RunReport {
-        self.run_range_timed(scheme, 0, self.config.samples)
+    /// Runs every scheme in `schemes` over all samples and returns the
+    /// results in order (the untimed form of [`Self::run_range`]).
+    pub fn run_all(&self, schemes: &[Scheme]) -> Vec<SchemeResult> {
+        self.run_range(schemes, 0, self.config.samples).0
     }
 
-    /// Simulates trials `[first, first + count)` of one scheme, in
-    /// parallel, ignoring the configured sample count.
-    ///
-    /// Trial randomness is a pure function of `(seed, scheme, trial)`, so
-    /// accumulating consecutive range runs with
-    /// [`SchemeResult::merge_from`] reproduces a single batch run of the
-    /// union **bit-for-bit** — the primitive behind the streaming
-    /// `faultsim::engine` facade and `xedd`'s partial-confidence
-    /// responses. Range boundaries need not align with the 64-lane
-    /// bit-sliced blocks or the work-stealing chunks.
-    pub fn run_range_timed(&self, scheme: Scheme, first: u64, count: u64) -> RunReport {
-        assert!(count > 0, "need at least one trial in the range");
-        let (mut results, stats) = self.run_many(&[scheme], first, count);
-        // invariant: run_many returns exactly one result per input scheme.
-        let result = results.pop().expect("one scheme in, one result out");
-        RunReport { result, stats }
-    }
-
-    /// Runs every scheme in `schemes` and returns the results in order.
+    /// Simulates trials `[first, first + count)` of every scheme in
+    /// `schemes`, ignoring the configured sample count, and reports the
+    /// per-scheme results in order plus the invocation's [`RunStats`].
     ///
     /// The schemes share one work-stealing pool: all `schemes.len() ×
-    /// samples` trials are interleaved across the workers, so a
+    /// count` trials are interleaved across the workers, so a
     /// seven-scheme sweep saturates the machine instead of running seven
-    /// serial barriers. Each result is bit-identical to what a solo
-    /// [`Self::run`] of that scheme produces, because every trial's
-    /// randomness is keyed by `(seed, scheme, trial)` — never by worker or
-    /// batch composition.
-    pub fn run_all(&self, schemes: &[Scheme]) -> Vec<SchemeResult> {
-        self.run_all_timed(schemes).0
-    }
+    /// serial barriers. Each result is bit-identical to a solo run of
+    /// that scheme, because every trial's randomness is keyed by `(seed,
+    /// scheme, trial)` — never by worker, batch composition or range.
+    /// Accumulating consecutive range runs with
+    /// [`SchemeResult::merge_from`] therefore reproduces a single batch
+    /// run of the union **bit-for-bit** — the primitive behind the
+    /// streaming `faultsim::engine` facade and `xedd`'s
+    /// partial-confidence responses. Range boundaries need not align
+    /// with the 64-lane bit-sliced blocks or the work-stealing chunks.
+    pub fn run_range(
+        &self,
+        schemes: &[Scheme],
+        first: u64,
+        count: u64,
+    ) -> (Vec<SchemeResult>, RunStats) {
+        assert!(count > 0, "need at least one trial in the range");
+        let config = &self.config;
+        let years = config.years.ceil() as usize;
+        let lanes: Vec<(SchemeModel, LifetimeSampler<'_>, Streams)> = schemes
+            .iter()
+            .map(|&s| {
+                let model = SchemeModel::new(s, config.params);
+                let sampler = LifetimeSampler::new(
+                    &config.rates,
+                    model.config().geometry,
+                    model.config().total_chips(),
+                    config.years,
+                );
+                (model, sampler, stream_family(config.seed, s))
+            })
+            .collect();
+        // Chunk `c` is trials `[first + (c % chunks_per_scheme) ·
+        // STEAL_CHUNK ..][..n]` of scheme `c / chunks_per_scheme`.
+        let chunks_per_scheme = count.div_ceil(STEAL_CHUNK);
+        // invariant: chunks_per_scheme ≤ samples and scheme counts are tiny
+        // (≤ dozens), so the chunk-id space cannot overflow u64 for any
+        // simulation size a machine can actually run.
+        let total_chunks = chunks_per_scheme
+            .checked_mul(lanes.len() as u64)
+            .expect("chunk-id space overflow");
 
-    /// Like [`Self::run_all`], additionally reporting aggregate throughput
-    /// stats for the whole invocation.
-    pub fn run_all_timed(&self, schemes: &[Scheme]) -> (Vec<SchemeResult>, RunStats) {
-        self.run_many(schemes, 0, self.config.samples)
+        // Wall-clock timing is reporting-only metadata; the simulation
+        // itself stays deterministic.
+        let start = Instant::now(); // xed-lint: allow(XL005)
+        let (per_worker, threads) = sched::steal_chunks(
+            config.threads,
+            total_chunks,
+            || {
+                let partials: Vec<Partial> = lanes.iter().map(|_| Partial::new(years)).collect();
+                (partials, Scratch::default())
+            },
+            |(partials, scratch), c| {
+                let si = (c / chunks_per_scheme) as usize;
+                let offset = (c % chunks_per_scheme) * STEAL_CHUNK;
+                let n = STEAL_CHUNK.min(count - offset);
+                // indexing: si < lanes.len() = partials.len(), since
+                // c < total_chunks = chunks_per_scheme · lanes.len().
+                let (model, sampler, streams) = &lanes[si];
+                run_trials(
+                    model,
+                    sampler,
+                    streams,
+                    config.kernel,
+                    first + offset,
+                    n,
+                    years,
+                    &mut partials[si],
+                    scratch,
+                );
+                n
+            },
+        );
+        let wall_seconds = start.elapsed().as_secs_f64();
+
+        let mut zero_fault_samples = 0u64;
+        let mut bitslice_blocks = 0u64;
+        let mut bitslice_spills = 0u64;
+        let results: Vec<SchemeResult> = schemes
+            .iter()
+            .enumerate()
+            .map(|(si, &scheme)| {
+                let mut result = SchemeResult {
+                    scheme,
+                    samples: count,
+                    failures_by_year: vec![0; years],
+                    due: 0,
+                    sdc: 0,
+                    failures_by_extent: [0; 6],
+                };
+                let mut counts: Tallies<P_SLOTS> = Tallies::new();
+                for (partials, _) in &per_worker {
+                    let p = &partials[si];
+                    counts.merge_from(&p.counts);
+                    for (a, b) in result.failures_by_year.iter_mut().zip(&p.failures_by_year) {
+                        *a += b;
+                    }
+                }
+                result.due = counts.get(P_DUE);
+                result.sdc = counts.get(P_SDC);
+                zero_fault_samples += counts.get(P_ZERO_FAULT);
+                bitslice_blocks += counts.get(P_BITSLICE_BLOCKS);
+                bitslice_spills += counts.get(P_BITSLICE_SPILLS);
+                for (i, slot) in result.failures_by_extent.iter_mut().enumerate() {
+                    *slot = counts.get(P_EXTENT0 + i);
+                }
+                result
+            })
+            .collect();
+
+        let samples = count * schemes.len() as u64;
+        let stats = RunStats {
+            wall_seconds,
+            samples_per_sec: samples as f64 / wall_seconds.max(1e-9),
+            threads,
+            samples,
+            zero_fault_samples,
+        };
+
+        // Publish-at-merge (DESIGN.md §11): the hot loop accumulated into
+        // owned tallies; the global registry counters are bumped once per
+        // invocation, here at the join point.
+        if xed_telemetry::enabled() {
+            metrics::FAULTSIM_RUNS.incr();
+            metrics::FAULTSIM_TRIALS.add(samples);
+            metrics::FAULTSIM_ZERO_FAULT_TRIALS.add(zero_fault_samples);
+            metrics::FAULTSIM_DUE.add(results.iter().map(|r| r.due).sum());
+            metrics::FAULTSIM_SDC.add(results.iter().map(|r| r.sdc).sum());
+            metrics::FAULTSIM_BITSLICE_BLOCKS.add(bitslice_blocks);
+            metrics::FAULTSIM_BITSLICE_SPILLS.add(bitslice_spills);
+        }
+        (results, stats)
     }
 
     /// Replays one trial of `scheme` and returns its full decision
@@ -443,11 +547,7 @@ impl MonteCarlo {
             model.config().total_chips(),
             config.years,
         );
-        let streams = Streams::new(
-            config
-                .seed
-                .wrapping_add(scheme.stream_tag().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
+        let streams = stream_family(config.seed, scheme);
         let exposure = model.params().transient_exposure_hours;
         let mut replay = TrialReplay {
             scheme,
@@ -525,129 +625,6 @@ impl MonteCarlo {
         }
         replay
     }
-
-    /// The shared engine behind `run`/`run_all`/`run_range_timed`:
-    /// simulates trials `[first, first + count)` of every scheme in
-    /// `schemes` over one work-stealing pool.
-    fn run_many(
-        &self,
-        schemes: &[Scheme],
-        first: u64,
-        count: u64,
-    ) -> (Vec<SchemeResult>, RunStats) {
-        let threads = self.threads();
-        let config = &self.config;
-        let years = config.years.ceil() as usize;
-        let models: Vec<SchemeModel> = schemes
-            .iter()
-            .map(|&s| SchemeModel::new(s, config.params))
-            .collect();
-        let chunks_per_scheme = count.div_ceil(STEAL_CHUNK);
-        // invariant: chunks_per_scheme ≤ samples and scheme counts are tiny
-        // (≤ dozens), so the chunk-id space cannot overflow u64 for any
-        // simulation size a machine can actually run.
-        let total_chunks = chunks_per_scheme
-            .checked_mul(models.len() as u64)
-            .expect("chunk-id space overflow");
-        let next_chunk = AtomicU64::new(0);
-
-        // Capture the caller's span context before fanning out: the
-        // scoped workers are fresh threads, so the tracing thread-local
-        // does not propagate on its own.
-        let span_ctx = trace::current();
-
-        // Wall-clock timing is reporting-only metadata; the simulation
-        // itself stays deterministic.
-        let start = Instant::now(); // xed-lint: allow(XL005)
-        let per_worker: Vec<Vec<Partial>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let models = &models;
-                    let next_chunk = &next_chunk;
-                    scope.spawn(move || {
-                        worker(
-                            models,
-                            config,
-                            next_chunk,
-                            chunks_per_scheme,
-                            total_chunks,
-                            first,
-                            count,
-                            years,
-                            span_ctx,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // invariant: workers never panic; a worker panic is a bug
-                    // in the simulator itself, so propagate it.
-                    h.join().expect("monte-carlo worker panicked")
-                })
-                .collect()
-        });
-        let wall_seconds = start.elapsed().as_secs_f64();
-
-        let mut zero_fault_samples = 0u64;
-        let mut bitslice_blocks = 0u64;
-        let mut bitslice_spills = 0u64;
-        let results: Vec<SchemeResult> = schemes
-            .iter()
-            .enumerate()
-            .map(|(si, &scheme)| {
-                let mut result = SchemeResult {
-                    scheme,
-                    samples: count,
-                    failures_by_year: vec![0; years],
-                    due: 0,
-                    sdc: 0,
-                    failures_by_extent: [0; 6],
-                };
-                let mut counts: Tallies<P_SLOTS> = Tallies::new();
-                for partials in &per_worker {
-                    let p = &partials[si];
-                    counts.merge_from(&p.counts);
-                    for (a, b) in result.failures_by_year.iter_mut().zip(&p.failures_by_year) {
-                        *a += b;
-                    }
-                }
-                result.due = counts.get(P_DUE);
-                result.sdc = counts.get(P_SDC);
-                zero_fault_samples += counts.get(P_ZERO_FAULT);
-                bitslice_blocks += counts.get(P_BITSLICE_BLOCKS);
-                bitslice_spills += counts.get(P_BITSLICE_SPILLS);
-                for (i, slot) in result.failures_by_extent.iter_mut().enumerate() {
-                    *slot = counts.get(P_EXTENT0 + i);
-                }
-                result
-            })
-            .collect();
-
-        let samples = count * schemes.len() as u64;
-        let stats = RunStats {
-            wall_seconds,
-            samples_per_sec: samples as f64 / wall_seconds.max(1e-9),
-            threads,
-            samples,
-            zero_fault_samples,
-        };
-
-        // Publish-at-merge (DESIGN.md §11): the hot loop accumulated into
-        // owned tallies; the global registry counters are bumped once per
-        // invocation, here at the join point.
-        if xed_telemetry::enabled() {
-            metrics::FAULTSIM_RUNS.incr();
-            metrics::FAULTSIM_TRIALS.add(samples);
-            metrics::FAULTSIM_ZERO_FAULT_TRIALS.add(zero_fault_samples);
-            metrics::FAULTSIM_DUE.add(results.iter().map(|r| r.due).sum());
-            metrics::FAULTSIM_SDC.add(results.iter().map(|r| r.sdc).sum());
-            metrics::FAULTSIM_BITSLICE_BLOCKS.add(bitslice_blocks);
-            metrics::FAULTSIM_BITSLICE_SPILLS.add(bitslice_spills);
-        }
-        (results, stats)
-    }
 }
 
 /// Slot layout of a [`Partial`]'s fixed-size tally block.
@@ -683,113 +660,27 @@ impl Partial {
 }
 
 /// Reusable per-worker scratch buffers; allocated once per worker, reused
-/// for every trial (the hot loop itself never allocates).
-struct Scratch {
+/// for every trial (the hot loop itself never allocates). Shared with the
+/// rare-event engine's trial loop.
+#[derive(Default)]
+pub(crate) struct Scratch {
     /// Current trial's fault timeline.
-    events: Vec<FaultEvent>,
+    pub(crate) events: Vec<FaultEvent>,
     /// `(expiry time, fault)`: permanent faults never expire; corrected
     /// transient faults linger for the configured exposure window before a
     /// read/scrub cleans them.
-    active: Vec<(f64, FaultEvent)>,
+    pub(crate) active: Vec<(f64, FaultEvent)>,
     /// The faults of `active`, projected for `SchemeModel::evaluate`.
-    view: Vec<FaultEvent>,
+    pub(crate) view: Vec<FaultEvent>,
 }
 
-/// One work-stealing worker: claims chunk ids from `next_chunk` until the
-/// space is exhausted. Chunk `c` maps to trials
-/// `[range_first + (c % chunks_per_scheme) · STEAL_CHUNK ..][..n]` of
-/// scheme `c / chunks_per_scheme`, where the range covers
-/// `[range_first, range_first + range_count)`.
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    models: &[SchemeModel],
-    config: &MonteCarloConfig,
-    next_chunk: &AtomicU64,
-    chunks_per_scheme: u64,
-    total_chunks: u64,
-    range_first: u64,
-    range_count: u64,
-    years: usize,
-    span_ctx: Option<SpanCtx>,
-) -> Vec<Partial> {
-    let mut partials: Vec<Partial> = models.iter().map(|_| Partial::new(years)).collect();
-    let contexts: Vec<(LifetimeSampler<'_>, Streams)> = models
-        .iter()
-        .map(|m| {
-            let sampler = LifetimeSampler::new(
-                &config.rates,
-                m.config().geometry,
-                m.config().total_chips(),
-                config.years,
-            );
-            // Key the stream family by (seed, scheme): trial i of scheme s
-            // draws from stream i of this family.
-            let streams = Streams::new(
-                config
-                    .seed
-                    .wrapping_add(m.scheme().stream_tag().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            );
-            (sampler, streams)
-        })
-        .collect();
-    let mut scratch = Scratch {
-        events: Vec::new(),
-        active: Vec::new(),
-        view: Vec::new(),
-    };
-    // One flag load per worker: chunk-grain telemetry costs four atomic
-    // updates and two clock reads per STEAL_CHUNK (4096) trials — ~0.1 %
-    // of a chunk's work — and vanishes entirely under `--no-telemetry`.
-    let telemetry_on = xed_telemetry::enabled();
-    loop {
-        let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-        if c >= total_chunks {
-            break;
-        }
-        let si = (c / chunks_per_scheme) as usize;
-        let offset = (c % chunks_per_scheme) * STEAL_CHUNK;
-        let first = range_first + offset;
-        let count = STEAL_CHUNK.min(range_count - offset);
-        let (sampler, streams) = &contexts[si];
-        // Chunk wall time is reporting-only metadata (never fed back into
-        // the simulation), same as run_many's outer timer. The clock is
-        // also read when the calling request is traced, so each chunk can
-        // land in the flight recorder as a SchedulerChunk span.
-        let chunk_start = (telemetry_on || span_ctx.is_some()).then(Instant::now); // xed-lint: allow(XL005)
-        run_trials(
-            &models[si],
-            sampler,
-            streams,
-            config.kernel,
-            first,
-            count,
-            years,
-            &mut partials[si],
-            &mut scratch,
-        );
-        if let Some(start) = chunk_start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if telemetry_on {
-                metrics::FAULTSIM_STEAL_CHUNKS.incr();
-                metrics::FAULTSIM_STEAL_CHUNK_TRIALS.record(count);
-                metrics::FAULTSIM_CHUNK_NS.record(ns);
-                metrics::FAULTSIM_TRIAL_NS.record(ns / count);
-            }
-            if let Some(ctx) = span_ctx {
-                let t_end = trace::now_ns();
-                trace::record_span(SpanEvent {
-                    trace_id: ctx.trace_id,
-                    span_id: trace::next_span_id(),
-                    parent: ctx.span_id,
-                    phase: Phase::SchedulerChunk,
-                    a: count,
-                    t_start: t_end.saturating_sub(ns),
-                    t_end,
-                });
-            }
-        }
-    }
-    partials
+/// The counter-based stream family of `(seed, scheme)`: trial `i` of
+/// `scheme` draws from stream `i` of it. The Monte-Carlo workers,
+/// [`MonteCarlo::replay_trial`] and the rare-event engine (with a salted
+/// seed) all key their randomness here — part of the reproducibility
+/// contract, like `Scheme::stream_tag`.
+pub(crate) fn stream_family(seed: u64, scheme: Scheme) -> Streams {
+    Streams::new(seed.wrapping_add(scheme.stream_tag().wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Simulates trials `[first, first + count)` of one scheme into `partial`.
@@ -989,8 +880,10 @@ mod tests {
     fn thread_count_never_changes_results() {
         // The tentpole invariant: bit-identical SchemeResult for any
         // thread count (work assignment must not leak into randomness).
+        // 50k samples are 13 chunks, so 16 threads is more workers than
+        // chunks.
         for scheme in [Scheme::Xed, Scheme::EccDimm] {
-            let results: Vec<SchemeResult> = [1usize, 3, 8]
+            let results: Vec<SchemeResult> = [1usize, 3, 8, 16]
                 .iter()
                 .map(|&threads| {
                     MonteCarlo::new(MonteCarloConfig {
@@ -1004,7 +897,27 @@ mod tests {
                 .collect();
             assert_eq!(results[0], results[1], "{scheme}: 1 vs 3 threads");
             assert_eq!(results[0], results[2], "{scheme}: 1 vs 8 threads");
+            assert_eq!(results[0], results[3], "{scheme}: 1 vs 16 threads");
         }
+    }
+
+    #[test]
+    fn workers_never_outnumber_chunks() {
+        // One trial is one chunk: asking for 64 threads must start one
+        // worker, and give the single-thread result.
+        let run = |threads| {
+            MonteCarlo::new(MonteCarloConfig {
+                samples: 1,
+                seed: 7,
+                threads,
+                ..MonteCarloConfig::default()
+            })
+            .run_range(&[Scheme::Xed], 0, 1)
+        };
+        let (wide, wide_stats) = run(64);
+        let (solo, _) = run(1);
+        assert_eq!(wide_stats.threads, 1);
+        assert_eq!(wide, solo);
     }
 
     #[test]
@@ -1051,7 +964,8 @@ mod tests {
                 let mut acc: Option<SchemeResult> = None;
                 while done < 20_000 {
                     let n = block.min(20_000 - done);
-                    let part = mc.run_range_timed(scheme, done, n).result;
+                    let (mut part, _) = mc.run_range(&[scheme], done, n);
+                    let part = part.pop().expect("one scheme in, one result out");
                     match acc.as_mut() {
                         Some(acc) => acc.merge_from(&part),
                         None => acc = Some(part),
@@ -1073,9 +987,9 @@ mod tests {
         // exactly N samples reports — the bit-reproducibility claim xedd
         // makes for every streamed chunk.
         for n in [4_096u64, 5_000, 12_288] {
-            let prefix = quick(20_000).run_range_timed(Scheme::Xed, 0, n).result;
+            let (prefix, _) = quick(20_000).run_range(&[Scheme::Xed], 0, n);
             let batch = quick(n).run(Scheme::Xed);
-            assert_eq!(prefix, batch, "prefix of {n} trials");
+            assert_eq!(prefix, [batch], "prefix of {n} trials");
         }
     }
 
@@ -1164,16 +1078,16 @@ mod tests {
     }
 
     #[test]
-    fn run_timed_reports_consistent_stats() {
+    fn run_range_reports_consistent_stats() {
         let mc = quick(40_000);
-        let report = mc.run_timed(Scheme::EccDimm);
-        assert_eq!(report.result, mc.run(Scheme::EccDimm));
-        assert_eq!(report.stats.samples, 40_000);
-        assert!(report.stats.wall_seconds > 0.0);
-        assert!(report.stats.samples_per_sec > 0.0);
-        assert!(report.stats.threads >= 1);
+        let (results, stats) = mc.run_range(&[Scheme::EccDimm], 0, 40_000);
+        assert_eq!(results, [mc.run(Scheme::EccDimm)]);
+        assert_eq!(stats.samples, 40_000);
+        assert!(stats.wall_seconds > 0.0);
+        assert!(stats.samples_per_sec > 0.0);
+        assert!(stats.threads >= 1);
         // λ ≈ 0.29 for a 72-chip system ⇒ ~75 % zero-fault lifetimes.
-        let zero_frac = report.stats.zero_fault_samples as f64 / 40_000.0;
+        let zero_frac = stats.zero_fault_samples as f64 / 40_000.0;
         assert!(
             (0.70..0.80).contains(&zero_frac),
             "zero-fault fraction {zero_frac}"

@@ -33,17 +33,19 @@ use crate::analytic::p_line_overlap_n;
 use crate::event::{FaultEvent, LifetimeSampler, POISSON_CHUNK};
 use crate::fault::{Fault, FaultExtent, FaultRange, Persistence};
 use crate::fit::{FitRates, HOURS_PER_YEAR, LIFETIME_YEARS};
-use crate::montecarlo::{MonteCarlo, MonteCarloConfig};
+use crate::montecarlo::{stream_family, MonteCarlo, MonteCarloConfig, Scratch};
+use crate::sched;
 use crate::schemes::{ModelParams, Scheme, SchemeModel, Verdict};
 use rand::rngs::{StdRng, Streams};
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use xed_telemetry::registry::metrics;
 
-/// Trials claimed per scheduler steal. Conditioned trials are ~10× the
-/// cost of plain ones (no zero-fault fast path), so the chunk is smaller
-/// than the plain driver's 4096 while the `fetch_add` stays noise.
+/// Trials per scheduler chunk. Conditioned trials are ~10× the cost of
+/// plain ones (no zero-fault fast path), so the chunk is smaller than the
+/// plain driver's 4096 while the claim stays noise. Part of the
+/// determinism rule: the `f64` sums are grouped per chunk before the
+/// chunk-ordered fold, so changing this moves the estimate's low bits.
 const TAIL_CHUNK: u64 = 1024;
 
 /// Largest forced-clique size (Double-Chipkill needs three faults).
@@ -163,7 +165,8 @@ pub struct TailEstimate {
     /// Wall-clock seconds of this invocation (metadata; the estimate
     /// itself is deterministic).
     pub wall_seconds: f64,
-    /// Worker threads used.
+    /// Worker threads used (never more than the run had chunks; 0 for an
+    /// exact-zero estimate, which simulates nothing).
     pub threads: usize,
 }
 
@@ -491,13 +494,6 @@ struct TailPlan<'a> {
     /// Count-draw tilt for the clique-forced path (`None` until the pilot
     /// probe installs it, and always `None` for the fallback modes).
     count_tilt: Option<CountTilt>,
-}
-
-/// Per-worker reusable buffers, like the plain driver's scratch.
-struct Scratch {
-    events: Vec<FaultEvent>,
-    active: Vec<(f64, FaultEvent)>,
-    view: Vec<FaultEvent>,
 }
 
 /// Per-chunk accumulator. Chunks are folded in ascending chunk-id order at
@@ -960,15 +956,6 @@ impl TailSimulator {
         &self.config
     }
 
-    /// Worker threads this configuration resolves to.
-    pub fn threads(&self) -> usize {
-        if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.threads
-        }
-    }
-
     /// Estimates the tail failure probability of one scheme.
     ///
     /// Auto-selects the sharpest sound mode (clique forcing where valid,
@@ -1052,16 +1039,7 @@ impl TailSimulator {
             count_tilt: None,
         };
 
-        let threads = self.threads();
-        let streams = Streams::new(
-            config
-                .seed
-                .wrapping_add(scheme.stream_tag().wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(TAIL_STREAM_SALT),
-        );
-        let chunks = config.samples.div_ceil(TAIL_CHUNK);
-        let next_chunk = AtomicU64::new(0);
-
+        let streams = stream_family(config.seed.wrapping_add(TAIL_STREAM_SALT), scheme);
         let start = Instant::now(); // xed-lint: allow(XL005)
 
         // Pilot probe: tilt both proposals toward where failures actually
@@ -1081,11 +1059,7 @@ impl TailSimulator {
         // it is part of the run's cost.
         let pilot: Option<(Vec<f64>, CountTilt)> = plan.clique.as_ref().map(|clique| {
             let mut probe_rng = streams.stream(u64::MAX);
-            let mut scratch = Scratch {
-                events: Vec::new(),
-                active: Vec::new(),
-                view: Vec::new(),
-            };
+            let mut scratch = Scratch::default();
             // Conditional bucket probabilities P(N ∈ b | N ≥ k) for
             // buckets {k, k+1, k+2, ≥k+3}.
             let pmf_k1 = pmf * lambda / f64::from(k + 1);
@@ -1158,61 +1132,38 @@ impl TailSimulator {
             plan.count_tilt = Some(count_tilt);
         }
         let plan = plan;
-        let per_worker: Vec<Vec<(u64, ChunkSums)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let plan = &plan;
-                    let streams = &streams;
-                    let next_chunk = &next_chunk;
-                    scope.spawn(move || {
-                        let mut scratch = Scratch {
-                            events: Vec::new(),
-                            active: Vec::new(),
-                            view: Vec::new(),
-                        };
-                        let mut out: Vec<(u64, ChunkSums)> = Vec::new();
-                        loop {
-                            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                            if c >= chunks {
-                                break;
-                            }
-                            let first = c * TAIL_CHUNK;
-                            let count = TAIL_CHUNK.min(config.samples - first);
-                            let mut sums = ChunkSums::default();
-                            for trial in first..first + count {
-                                let (y, verdict) = plan.run_trial(trial, streams, &mut scratch);
-                                if let Some(v) = verdict {
-                                    sums.y += y;
-                                    sums.y2 += y * y;
-                                    sums.failures += 1;
-                                    if v == Verdict::Due {
-                                        sums.due += y;
-                                    } else {
-                                        sums.sdc += y;
-                                    }
-                                }
-                            }
-                            out.push((c, sums));
+        let (per_worker, threads) = sched::steal_chunks(
+            config.threads,
+            config.samples.div_ceil(TAIL_CHUNK),
+            || (Vec::new(), Scratch::default()),
+            |(out, scratch): &mut (Vec<(u64, ChunkSums)>, Scratch), c| {
+                let first = c * TAIL_CHUNK;
+                let count = TAIL_CHUNK.min(config.samples - first);
+                let mut sums = ChunkSums::default();
+                for trial in first..first + count {
+                    let (y, verdict) = plan.run_trial(trial, &streams, scratch);
+                    if let Some(v) = verdict {
+                        sums.y += y;
+                        sums.y2 += y * y;
+                        sums.failures += 1;
+                        if v == Verdict::Due {
+                            sums.due += y;
+                        } else {
+                            sums.sdc += y;
                         }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // invariant: workers never panic; a worker panic is a
-                    // bug in the estimator itself, so propagate it.
-                    h.join().expect("rare-event worker panicked")
-                })
-                .collect()
-        });
+                    }
+                }
+                out.push((c, sums));
+                count
+            },
+        );
         let wall_seconds = start.elapsed().as_secs_f64();
 
         // Deterministic fold: gather every worker's chunk partials, order
         // by chunk id, and sum in that fixed order — the floating-point
         // result is bit-identical for any thread count.
-        let mut chunks_sorted: Vec<(u64, ChunkSums)> = per_worker.into_iter().flatten().collect();
+        let mut chunks_sorted: Vec<(u64, ChunkSums)> =
+            per_worker.into_iter().flat_map(|(out, _)| out).collect();
         chunks_sorted.sort_unstable_by_key(|&(c, _)| c);
         let mut total = ChunkSums::default();
         for (_, s) in &chunks_sorted {
@@ -1269,7 +1220,7 @@ impl TailSimulator {
     /// explicit override).
     fn run_plain(&self, scheme: Scheme) -> TailEstimate {
         let config = &self.config;
-        let report = MonteCarlo::new(MonteCarloConfig {
+        let (mut results, stats) = MonteCarlo::new(MonteCarloConfig {
             samples: config.samples,
             years: config.years,
             seed: config.seed,
@@ -1278,13 +1229,14 @@ impl TailSimulator {
             rates: config.rates.clone(),
             ..MonteCarloConfig::default()
         })
-        .run_timed(scheme);
+        .run_range(&[scheme], 0, config.samples);
         if xed_telemetry::enabled() {
             metrics::FAULTSIM_TAIL_RUNS.incr();
             metrics::FAULTSIM_TAIL_TRIALS.add(config.samples);
             metrics::FAULTSIM_TAIL_FALLBACKS.incr();
         }
-        let r = &report.result;
+        // invariant: run_range returns exactly one result per input scheme.
+        let r = results.pop().expect("one scheme in, one result out");
         let t = config.samples as f64;
         let p = r.lifetime_failure_probability();
         TailEstimate {
@@ -1299,8 +1251,8 @@ impl TailSimulator {
             p_sdc: r.sdc as f64 / t,
             failures: r.failures(),
             variance: p * (1.0 - p) / t,
-            wall_seconds: report.stats.wall_seconds,
-            threads: report.stats.threads,
+            wall_seconds: stats.wall_seconds,
+            threads: stats.threads,
         }
     }
 
@@ -1322,7 +1274,7 @@ impl TailSimulator {
             failures: 0,
             variance: 0.0,
             wall_seconds: 0.0,
-            threads: self.threads(),
+            threads: 0,
         }
     }
 }
@@ -1365,7 +1317,9 @@ mod tests {
     fn thread_count_never_changes_estimates() {
         // Same invariant as the plain driver: chunk-ordered folding makes
         // the floating-point sums bit-identical for any thread count.
-        let estimates: Vec<TailEstimate> = [1usize, 2, 5]
+        // 30k samples are 30 chunks, so 40 threads is more workers than
+        // chunks (and the scheduler starts only 30).
+        let estimates: Vec<TailEstimate> = [1usize, 2, 5, 40]
             .iter()
             .map(|&threads| {
                 TailSimulator::new(TailConfig {
@@ -1383,6 +1337,7 @@ mod tests {
             assert_eq!(e.variance.to_bits(), estimates[0].variance.to_bits());
             assert_eq!(e.failures, estimates[0].failures);
         }
+        assert_eq!(estimates[3].threads, 30);
     }
 
     #[test]

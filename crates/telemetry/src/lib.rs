@@ -20,11 +20,11 @@
 //!   (the Monte-Carlo trial loop, the batched line decode) accumulates
 //!   into *owned* [`Tallies`] blocks with plain adds — zero atomics — and
 //!   publishes the totals into the static [`registry`] counters once, at
-//!   its natural merge point (end of `run_many`, end of a simulation).
-//!   Owned [`LocalHistogram`]s do the same for distributions (the memory
-//!   simulator's queue-depth and read-latency samples). Only genuinely
-//!   cheap-per-event instrumentation (a histogram record per 4096-trial
-//!   chunk) records live.
+//!   its natural merge point (end of `MonteCarlo::run_range`, end of a
+//!   simulation). Owned [`LocalHistogram`]s do the same for distributions
+//!   (the memory simulator's queue-depth and read-latency samples). Only
+//!   genuinely cheap-per-event instrumentation (a histogram record per
+//!   scheduler chunk) records live.
 //! * **Stable dotted metric IDs.** Every metric is a static registered
 //!   exactly once in [`registry::CATALOGUE`] under an ID like
 //!   `faultsim.trials` or `core.xed.catchword_collisions`; xed-lint XL010

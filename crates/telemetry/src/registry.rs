@@ -157,7 +157,7 @@ const fn h(id: &'static str, help: &'static str, m: &'static Histogram) -> Metri
 /// One entry per line — xed-lint XL010 parses this region.
 #[rustfmt::skip]
 pub static CATALOGUE: &[MetricDef] = &[
-    c("faultsim.runs", "Monte-Carlo run_many invocations", &metrics::FAULTSIM_RUNS),
+    c("faultsim.runs", "Monte-Carlo run_range invocations", &metrics::FAULTSIM_RUNS),
     c("faultsim.trials", "Monte-Carlo trials simulated (all schemes)", &metrics::FAULTSIM_TRIALS),
     c("faultsim.zero_fault_trials", "Trials that took the zero-fault fast path", &metrics::FAULTSIM_ZERO_FAULT_TRIALS),
     c("faultsim.due", "Trials ending in a detected-uncorrectable failure", &metrics::FAULTSIM_DUE),

@@ -175,10 +175,10 @@ pub fn run(scope: GateScope) -> GateReport {
     // the lifetime) = exp(−λ·chips). This closed form is *exact* for the
     // Poisson sampler — the model band is zero and the gate is the
     // sharpest statistical check in the suite.
-    let report = mc.run_timed(Scheme::EccDimm);
-    let p0_mc = report.stats.zero_fault_samples as f64 / report.stats.samples as f64;
+    let (_, stats) = mc.run_range(&[Scheme::EccDimm], 0, mc.config().samples);
+    let p0_mc = stats.zero_fault_samples as f64 / stats.samples as f64;
     let p0_an = (-rates.expected_faults(years * HOURS_PER_YEAR) * x8.total_chips() as f64).exp();
-    let noise = 2.576 * (p0_an * (1.0 - p0_an) / report.stats.samples as f64).sqrt();
+    let noise = 2.576 * (p0_an * (1.0 - p0_an) / stats.samples as f64).sqrt();
     rows.push(row(
         "zero-fault fraction vs exp(-λ)",
         p0_mc,

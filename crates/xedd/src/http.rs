@@ -781,6 +781,18 @@ mod tests {
     }
 
     #[test]
+    fn oversized_thread_counts_are_rejected() {
+        // One request must not make a daemon worker spawn 100k OS threads.
+        let raw = "GET /v1/query?scheme=xed&samples=1&threads=100000 HTTP/1.1\r\n\r\n";
+        let req = read_request(&mut Cursor::new(raw)).expect("well-formed");
+        let err = query_from_params(&req.params).expect_err("threads above the bound");
+        assert!(err.contains("threads"), "{err}");
+        let q = query_from_params(&params(&[("scheme", "xed"), ("threads", "256")]))
+            .expect("256 threads is within the bound");
+        assert_eq!(q.exec.threads, 256);
+    }
+
+    #[test]
     fn responses_round_trip_through_the_client_parser() {
         let mut wire = Vec::new();
         write_response(&mut wire, 200, &[("X-Xedd-Cache", "hit")], "{\"ok\":true}").expect("write");

@@ -13,6 +13,8 @@ use crate::http::{self, ChunkStream};
 use crate::render;
 use crate::server::{Server, XeddConfig};
 use xed_telemetry::registry::metrics;
+use xed_telemetry::trace::Phase;
+use xed_telemetry::SpanEvent;
 
 /// Asserts `cond`, failing the selftest with `reason`.
 fn check(cond: bool, reason: &str) -> Result<(), String> {
@@ -255,6 +257,48 @@ pub fn run(mut log: impl FnMut(&str)) -> Result<(), String> {
     }
     log("selftest: traced request exports admission/cache/coalesce/evaluate/scheduler spans");
 
+    // A traced tail query runs on the same chunk scheduler, so its
+    // chunks must land in the flight recorder too, each one a child of
+    // the request's evaluate span.
+    const TAIL_TRACE: u64 = 0xc0ff_ee43;
+    let tail_target = "/v1/query?scheme=xed-chipkill&kind=tail&samples=5000&seed=99";
+    let tail_header = format!("{TAIL_TRACE:016x}");
+    let tail = http::client_get_with(&addr, tail_target, &[("X-Xedd-Trace", &tail_header)])?;
+    check(tail.status == 200, "traced tail query did not return 200")?;
+    let spans: Vec<SpanEvent> = xed_telemetry::export::collect_spans(Some(TAIL_TRACE))
+        .into_iter()
+        .map(|(_, e)| e)
+        .collect();
+    let evaluate: Vec<u32> = spans
+        .iter()
+        .filter(|e| e.phase == Phase::Evaluate)
+        .map(|e| e.span_id)
+        .collect();
+    let chunks: Vec<&SpanEvent> = spans
+        .iter()
+        .filter(|e| e.phase == Phase::SchedulerChunk)
+        .collect();
+    check(
+        evaluate.len() == 1,
+        "traced tail query did not record exactly one evaluate span",
+    )?;
+    check(
+        !chunks.is_empty(),
+        "traced tail query recorded no scheduler_chunk span",
+    )?;
+    check(
+        chunks.iter().all(|e| evaluate.contains(&e.parent)),
+        "a tail scheduler_chunk span does not nest under the evaluate span",
+    )?;
+    check(
+        chunks.iter().map(|e| e.a).sum::<u64>() == 5000,
+        "tail scheduler_chunk spans do not cover the 5000 trials",
+    )?;
+    log(&format!(
+        "selftest: traced tail query nests {} scheduler_chunk spans under evaluate",
+        chunks.len()
+    ));
+
     // -- streamed epsilon early stop --------------------------------------
     let early_before = metrics::XEDD_EARLY_STOPS.value();
     let eps = "/v1/query?scheme=ecc-dimm&samples=5000000&block=20000&epsilon=0.5&seed=11";
@@ -288,6 +332,11 @@ pub fn run(mut log: impl FnMut(&str)) -> Result<(), String> {
     // -- error paths and /metrics -----------------------------------------
     let bad = http::client_get(&addr, "/v1/query?scheme=warp-drive")?;
     check(bad.status == 400, "unknown scheme did not return 400")?;
+    let greedy = http::client_get(&addr, "/v1/query?scheme=xed&samples=1&threads=100000")?;
+    check(
+        greedy.status == 400,
+        "a thread count above engine::MAX_THREADS did not return 400",
+    )?;
     let lost = http::client_get(&addr, "/v1/nope")?;
     check(lost.status == 404, "unknown route did not return 404")?;
     let metrics_resp = http::client_get(&addr, "/metrics")?;

@@ -531,6 +531,15 @@ fn handle_query(
         Join::Follower(flight) => {
             metrics::XEDD_COALESCED.incr();
             let t_follow = trace::now_ns();
+            // Recorded once the leader's result is in, before the last
+            // bytes go out (as the leader's CoalesceLead span is), so a
+            // client that has read the whole response finds the span.
+            // `a` carries the leader's trace id: the cross-trace handoff
+            // edge Perfetto can't draw but the selftest can assert.
+            let end_follow = || {
+                metrics::XEDD_PHASE_COALESCE_NS.record(trace::now_ns().saturating_sub(t_follow));
+                ctx.child(Phase::CoalesceFollow, flight.leader_trace(), t_follow);
+            };
             if streaming {
                 if http::write_chunked_head(stream, &[("X-Xedd-Cache", "coalesced"), ctx.echo()])
                     .is_err()
@@ -543,6 +552,7 @@ fn handle_query(
                     metrics::XEDD_STREAM_CHUNKS.incr();
                     let _ = http::write_chunk(stream, line);
                 });
+                end_follow();
                 match result {
                     Ok(response) => {
                         ttfc.mark();
@@ -555,7 +565,9 @@ fn handle_query(
                 }
                 let _ = http::write_chunked_end(stream);
             } else {
-                match flight.wait() {
+                let result = flight.wait();
+                end_follow();
+                match result {
                     Ok(response) => {
                         ttfc.mark();
                         let _ = http::write_response(
@@ -575,10 +587,6 @@ fn handle_query(
                     }
                 }
             }
-            metrics::XEDD_PHASE_COALESCE_NS.record(trace::now_ns().saturating_sub(t_follow));
-            // `a` carries the leader's trace id: the cross-trace handoff
-            // edge Perfetto can't draw but the selftest can assert.
-            ctx.child(Phase::CoalesceFollow, flight.leader_trace(), t_follow);
         }
     }
 }

@@ -24,7 +24,7 @@ fn main() {
     );
     // One work-stealing pool simulates all seven schemes; the results are
     // identical to seven solo runs (and to any thread count).
-    let (results, stats) = mc.run_all_timed(&Scheme::ALL);
+    let (results, stats) = mc.run_range(&Scheme::ALL, 0, samples);
     let mut baseline = None;
     for (scheme, r) in Scheme::ALL.into_iter().zip(&results) {
         let p = r.failure_probability(7.0);

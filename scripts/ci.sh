@@ -46,13 +46,15 @@ done
 git diff --exit-code -- 'results/fig1[1-4].*'
 
 # Gating: the bit-sliced trial kernel must stay bit-identical to the
-# scalar path under *release* codegen too — the debug `cargo test`
-# above proves the unoptimized build, this re-runs the equivalence and
-# thread-invariance sweeps at the optimization level the benchmarks
-# and figure binaries actually ship (DESIGN.md §14.1).
-step "bit-sliced vs scalar kernel equivalence (release)"
-cargo test -q --release -p xed-faultsim --lib \
-    bit_sliced_kernel_is_bit_identical_to_scalar
+# scalar path, and both estimators (lifetime Monte-Carlo and tails, which
+# share one chunk scheduler) must stay thread-count invariant, under
+# *release* codegen too — the debug `cargo test` above proves the
+# unoptimized build, this re-runs the equivalence and thread-invariance
+# tests at the optimization level the benchmarks and figure binaries
+# actually ship (DESIGN.md §9.2, §14.1).
+step "kernel equivalence and thread invariance (release)"
+cargo test -q --release -p xed-faultsim --lib -- \
+    bit_sliced_kernel_is_bit_identical_to_scalar thread_count_never_changes
 
 # Gating: the xed-testkit cross-validation matrix (DESIGN.md §12) —
 # exhaustive small-geometry oracle, analytic gate, metamorphic laws,
