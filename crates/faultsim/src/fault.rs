@@ -170,12 +170,12 @@ impl FaultRange {
     /// contribute errors to the same ECC codeword, regardless of which bit
     /// within the word each corrupts.
     pub fn shares_line(&self, other: &FaultRange) -> bool {
-        let a = FaultRange { bit: None, ..*self };
-        let b = FaultRange {
-            bit: None,
-            ..*other
-        };
-        a.overlaps(&b)
+        self.line().overlaps(&other.line())
+    }
+
+    /// The cache lines this range touches: the range without its bit.
+    pub(crate) fn line(&self) -> FaultRange {
+        FaultRange { bit: None, ..*self }
     }
 }
 

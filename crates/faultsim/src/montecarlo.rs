@@ -46,6 +46,7 @@ use crate::fit::{FitRates, HOURS_PER_YEAR, LIFETIME_YEARS};
 use crate::sched;
 use crate::schemes::{ModelParams, Scheme, SchemeModel, Verdict};
 use rand::rngs::Streams;
+use rand::Rng;
 use std::time::Instant;
 use xed_telemetry::{registry::metrics, Tallies};
 
@@ -548,7 +549,6 @@ impl MonteCarlo {
             config.years,
         );
         let streams = stream_family(config.seed, scheme);
-        let exposure = model.params().transient_exposure_hours;
         let mut replay = TrialReplay {
             scheme,
             trial,
@@ -579,50 +579,35 @@ impl MonteCarlo {
                 active: 0,
                 verdict,
             });
-            if matches!(verdict, Verdict::Due | Verdict::Sdc) {
-                replay.failure = Some(TrialFailure {
-                    due: verdict == Verdict::Due,
-                    year: ((time_hours * YEAR_RECIP) as usize).min(years - 1),
-                    extent_index: extent.index(),
-                });
-            }
-            return replay;
-        }
-        let mut events = Vec::new();
-        sampler.events_into(count, &mut rng, &mut events);
-        let mut active: Vec<(f64, FaultEvent)> = Vec::new();
-        let mut view: Vec<FaultEvent> = Vec::new();
-        for e in &events {
-            active.retain(|&(expiry, _)| expiry > e.time_hours);
-            view.clear();
-            view.extend(active.iter().map(|&(_, f)| f));
-            let verdict = model.evaluate(&mut rng, e, &view);
-            replay.steps.push(TrialStep {
-                time_hours: e.time_hours,
-                chip: Some(e.chip),
-                extent: e.fault.extent,
-                persistence: e.fault.persistence,
-                active: view.len(),
-                verdict,
-            });
-            match verdict {
-                Verdict::Due | Verdict::Sdc => {
-                    replay.failure = Some(TrialFailure {
-                        due: verdict == Verdict::Due,
-                        year: ((e.time_hours * YEAR_RECIP) as usize).min(years - 1),
-                        extent_index: e.fault.extent.index(),
+        } else {
+            let mut scratch = Scratch::default();
+            sampler.events_into(count, &mut rng, &mut scratch.events);
+            let steps = &mut replay.steps;
+            run_timeline(
+                &model,
+                &mut rng,
+                &scratch.events,
+                &mut scratch.active,
+                |e, active, verdict| {
+                    steps.push(TrialStep {
+                        time_hours: e.time_hours,
+                        chip: Some(e.chip),
+                        extent: e.fault.extent,
+                        persistence: e.fault.persistence,
+                        active,
+                        verdict,
                     });
-                    break;
-                }
-                Verdict::Corrected | Verdict::Benign => match e.fault.persistence {
-                    Persistence::Permanent => active.push((f64::INFINITY, *e)),
-                    Persistence::Transient if exposure > 0.0 => {
-                        active.push((e.time_hours + exposure, *e));
-                    }
-                    Persistence::Transient => {}
                 },
-            }
+            );
         }
+        // Evaluation stops at the first failure, so only the last step
+        // can be one.
+        let last = replay.steps.last().filter(|s| s.verdict.is_failure());
+        replay.failure = last.map(|s| TrialFailure {
+            due: s.verdict == Verdict::Due,
+            year: ((s.time_hours * YEAR_RECIP) as usize).min(years - 1),
+            extent_index: s.extent.index(),
+        });
         replay
     }
 }
@@ -666,12 +651,46 @@ impl Partial {
 pub(crate) struct Scratch {
     /// Current trial's fault timeline.
     pub(crate) events: Vec<FaultEvent>,
-    /// `(expiry time, fault)`: permanent faults never expire; corrected
-    /// transient faults linger for the configured exposure window before a
-    /// read/scrub cleans them.
-    pub(crate) active: Vec<(f64, FaultEvent)>,
-    /// The faults of `active`, projected for `SchemeModel::evaluate`.
-    pub(crate) view: Vec<FaultEvent>,
+    /// The active set [`run_timeline`] keeps in place.
+    pub(crate) active: Vec<FaultEvent>,
+}
+
+/// Replays a time-sorted fault timeline against `model` and returns the
+/// arrival that first fails (DUE/SDC), if any: the crate's one
+/// expiry / first-failure loop (Monte-Carlo multi-fault trials,
+/// [`MonteCarlo::replay_trial`] and the rare-event engine). Each arrival
+/// is evaluated against `active`, kept in place: permanent faults stay,
+/// a corrected transient stays for the exposure window (exclusive end),
+/// or not at all without one. `on_step` sees every decision and the
+/// active-set size it was made against. No allocation once the
+/// caller-owned `active` has grown to the largest active set.
+pub(crate) fn run_timeline<'e, R: Rng + ?Sized>(
+    model: &SchemeModel,
+    rng: &mut R,
+    events: &'e [FaultEvent],
+    active: &mut Vec<FaultEvent>,
+    mut on_step: impl FnMut(&FaultEvent, usize, Verdict),
+) -> Option<(&'e FaultEvent, Verdict)> {
+    let exposure = model.params().transient_exposure_hours;
+    active.clear();
+    for e in events {
+        if exposure > 0.0 {
+            active.retain(|a| {
+                a.fault.persistence == Persistence::Permanent
+                    || a.time_hours + exposure > e.time_hours
+            });
+        }
+        let verdict = model.evaluate(rng, e, active);
+        on_step(e, active.len(), verdict);
+        if verdict.is_failure() {
+            return Some((e, verdict));
+        }
+        if e.fault.persistence == Persistence::Permanent || exposure > 0.0 {
+            // alloc: amortized growth of the reused per-worker buffer.
+            active.push(*e);
+        }
+    }
+    None
 }
 
 /// The counter-based stream family of `(seed, scheme)`: trial `i` of
@@ -790,7 +809,6 @@ fn run_trial(
     partial: &mut Partial,
     scratch: &mut Scratch,
 ) {
-    let exposure = model.params().transient_exposure_hours;
     if sampler.is_zero_fault(u0) {
         partial.counts.bump(P_ZERO_FAULT);
         return;
@@ -804,55 +822,33 @@ fn run_trial(
         partial.counts.bump(P_ZERO_FAULT);
         return;
     }
-    if count == 1 {
+    let (time_hours, extent, verdict) = if count == 1 {
         // Single-fault lifetime (~86 % of the non-empty ones): the
         // only evaluation sees an empty active set, where the verdict
         // never depends on the chip or address range the fault struck
         // (`SchemeModel::evaluate_isolated`). Skip those draws, the
-        // event buffer, and the expiry/view bookkeeping entirely.
+        // event buffer, and the timeline bookkeeping entirely.
         let (extent, persistence, time_hours) = sampler.sample_mode_time(&mut rng);
         let verdict = model.evaluate_isolated(&mut rng, extent, persistence);
-        if matches!(verdict, Verdict::Due | Verdict::Sdc) {
-            let year = ((time_hours * YEAR_RECIP) as usize).min(years - 1);
-            // indexing: year is clamped to years - 1 above.
-            partial.failures_by_year[year] += 1;
-            partial.counts.bump(P_EXTENT0 + extent.index());
-            partial.counts.bump(if verdict == Verdict::Due {
-                P_DUE
-            } else {
-                P_SDC
-            });
+        (time_hours, extent, verdict)
+    } else {
+        sampler.events_into(count, &mut rng, &mut scratch.events);
+        let (events, active) = (&scratch.events, &mut scratch.active);
+        match run_timeline(model, &mut rng, events, active, |_, _, _| {}) {
+            Some((e, verdict)) => (e.time_hours, e.fault.extent, verdict),
+            None => return,
         }
-        return;
-    }
-    sampler.events_into(count, &mut rng, &mut scratch.events);
-    scratch.active.clear();
-    for e in &scratch.events {
-        scratch.active.retain(|&(expiry, _)| expiry > e.time_hours);
-        scratch.view.clear();
-        scratch.view.extend(scratch.active.iter().map(|&(_, f)| f));
-        let verdict = model.evaluate(&mut rng, e, &scratch.view);
-        match verdict {
-            Verdict::Due | Verdict::Sdc => {
-                let year = ((e.time_hours * YEAR_RECIP) as usize).min(years - 1);
-                // indexing: year is clamped to years - 1 above.
-                partial.failures_by_year[year] += 1;
-                partial.counts.bump(P_EXTENT0 + e.fault.extent.index());
-                partial.counts.bump(if verdict == Verdict::Due {
-                    P_DUE
-                } else {
-                    P_SDC
-                });
-                break;
-            }
-            Verdict::Corrected | Verdict::Benign => match e.fault.persistence {
-                Persistence::Permanent => scratch.active.push((f64::INFINITY, *e)),
-                Persistence::Transient if exposure > 0.0 => {
-                    scratch.active.push((e.time_hours + exposure, *e));
-                }
-                Persistence::Transient => {}
-            },
-        }
+    };
+    if verdict.is_failure() {
+        let year = ((time_hours * YEAR_RECIP) as usize).min(years - 1);
+        // indexing: year is clamped to years - 1 above.
+        partial.failures_by_year[year] += 1;
+        partial.counts.bump(P_EXTENT0 + extent.index());
+        partial.counts.bump(if verdict == Verdict::Due {
+            P_DUE
+        } else {
+            P_SDC
+        });
     }
 }
 

@@ -33,7 +33,7 @@ use crate::analytic::p_line_overlap_n;
 use crate::event::{FaultEvent, LifetimeSampler, POISSON_CHUNK};
 use crate::fault::{Fault, FaultExtent, FaultRange, Persistence};
 use crate::fit::{FitRates, HOURS_PER_YEAR, LIFETIME_YEARS};
-use crate::montecarlo::{stream_family, MonteCarlo, MonteCarloConfig, Scratch};
+use crate::montecarlo::{run_timeline, stream_family, MonteCarlo, MonteCarloConfig, Scratch};
 use crate::sched;
 use crate::schemes::{ModelParams, Scheme, SchemeModel, Verdict};
 use rand::rngs::{StdRng, Streams};
@@ -220,16 +220,27 @@ pub fn min_failing_faults(scheme: Scheme) -> u32 {
     }
 }
 
-/// Which line-address fields (bank, row, column) a fault extent pins.
-/// `Bit` pins like `Word` at line granularity (mirrors
+/// A fault of mode `(extent, persistence)` on the cache line `(bank, row,
+/// col)`: every line-address field its extent pins is set, the rest are
+/// wildcards. `Bit` pins like `Word` at line granularity (mirrors
 /// [`crate::analytic::p_line_overlap_n`]).
-const fn line_pins(e: FaultExtent) -> (bool, bool, bool) {
-    match e {
+fn line_fault(extent: FaultExtent, persistence: Persistence, line: (u32, u32, u32)) -> Fault {
+    let (pin_bank, pin_row, pin_col) = match extent {
         FaultExtent::Bit | FaultExtent::Word => (true, true, true),
         FaultExtent::Column => (true, false, true),
         FaultExtent::Row => (true, true, false),
         FaultExtent::Bank => (true, false, false),
         FaultExtent::Chip => (false, false, false),
+    };
+    Fault {
+        extent,
+        persistence,
+        range: FaultRange {
+            bank: pin_bank.then_some(line.0),
+            row: pin_row.then_some(line.1),
+            col: pin_col.then_some(line.2),
+            bit: None,
+        },
     }
 }
 
@@ -338,14 +349,8 @@ impl CliquePlan {
         if (0..k as usize).any(|slot| slot_modes(slot).is_empty()) {
             return None;
         }
-        let scheme = model.scheme();
         let config = model.config();
-        let domain_span = if scheme.domain_is_channel() {
-            config.ranks_per_channel * config.chips_per_rank
-        } else {
-            config.chips_per_rank
-        };
-        debug_assert_eq!(domain_span, scheme.domain_chips());
+        let domain_span = model.scheme().domain_chips();
         if domain_span < k {
             return None;
         }
@@ -489,7 +494,6 @@ struct TailPlan<'a> {
     pmf_k: f64,
     lambda: f64,
     hours: f64,
-    exposure: f64,
     clique: Option<CliquePlan>,
     /// Count-draw tilt for the clique-forced path (`None` until the pilot
     /// probe installs it, and always `None` for the fallback modes).
@@ -512,9 +516,14 @@ impl<'a> TailPlan<'a> {
     /// Draws from the truncated count distribution `P(N = n | N ≥ k)` by
     /// walking the Poisson pmf upward from `k` (exact inverse-CDF).
     fn draw_count(&self, rng: &mut StdRng) -> u32 {
-        let target = rng.gen::<f64>() * self.p_ge_k;
-        let mut n = self.k;
-        let mut pmf = self.pmf_k;
+        self.walk_count(self.k, self.pmf_k, rng.gen::<f64>() * self.p_ge_k)
+    }
+
+    /// The inverse-CDF walk behind every conditioned count draw: the
+    /// first `n ≥ start` whose cumulative pmf from `start` (with
+    /// `P(N = start) = pmf`) exceeds `target`.
+    fn walk_count(&self, start: u32, mut pmf: f64, target: f64) -> u32 {
+        let mut n = start;
         let mut cdf = pmf;
         // invariant: the pmf decays geometrically once n > λ, so the walk
         // terminates; COUNT_WALK_CAP only guards a floating-point stall.
@@ -540,20 +549,8 @@ impl<'a> TailPlan<'a> {
             0 => self.k,
             1 => self.k + 1,
             2 => self.k + 2,
-            _ => {
-                // In-bucket draw from `P(N = n | N ≥ k+3)`: same walk as
-                // `draw_count`, started at the lump boundary.
-                let target = rng.gen::<f64>() * tilt.p_lump;
-                let mut n = self.k + 3;
-                let mut pmf = tilt.pmf_lump;
-                let mut cdf = pmf;
-                while cdf <= target && pmf > 0.0 && n < self.k + COUNT_WALK_CAP {
-                    n += 1;
-                    pmf *= self.lambda / f64::from(n);
-                    cdf += pmf;
-                }
-                n
-            }
+            // In-bucket draw from `P(N = n | N ≥ k+3)`.
+            _ => self.walk_count(self.k + 3, tilt.pmf_lump, rng.gen::<f64>() * tilt.p_lump),
         };
         // indexing: b is a partition_point over the 4-entry cum array,
         // clamped to 3 = weight.len() - 1.
@@ -610,62 +607,139 @@ impl<'a> TailPlan<'a> {
             // indexing: j ≤ MAX_CLIQUE, the length of times.
             times[..plan.j].sort_unstable_by(f64::total_cmp);
         }
-        if plan.strict {
-            // Condition all j ranges on sharing one cache line: draw the
-            // line's coordinates once and give them to every member that
-            // pins that field. Per field, the unconditioned densities
-            // contribute (1/N)^k and the overlap probability divides out
-            // (1/N)^(k−1), leaving exactly one uniform draw — so this is
-            // the exact conditional distribution given a shared line.
+        // Strict model: condition all j ranges on sharing one cache line.
+        // Draw the line's coordinates once and give them to every member
+        // that pins that field. Per field, the unconditioned densities
+        // contribute (1/N)^k and the overlap probability divides out
+        // (1/N)^(k−1), leaving exactly one uniform draw — so this is the
+        // exact conditional distribution given a shared line. Coarse
+        // model: coexistence in the domain is the whole condition, so
+        // ranges stay unconditioned.
+        let line = plan.strict.then(|| {
             let bank = rng.gen_range(0..geom.banks);
             let row = rng.gen_range(0..geom.rows);
-            let col = rng.gen_range(0..geom.cols);
-            for i in 0..plan.j {
-                // indexing: i < j ≤ MAX_CLIQUE, the common array length.
-                let (extent, persistence) = tuple[i];
-                // indexing: i < j ≤ MAX_CLIQUE, the common array length.
-                let (time_hours, chip) = (times[i], start + offsets[i]);
-                let (pin_bank, pin_row, pin_col) = line_pins(extent);
-                out.push(FaultEvent {
-                    time_hours,
-                    chip,
-                    fault: Fault {
-                        extent,
-                        persistence,
-                        range: FaultRange {
-                            bank: pin_bank.then_some(bank),
-                            row: pin_row.then_some(row),
-                            col: pin_col.then_some(col),
-                            bit: None,
-                        },
-                    },
-                });
-            }
-        } else {
-            // Coarse model: coexistence in the domain is the whole
-            // condition, so ranges stay unconditioned.
-            for i in 0..plan.j {
-                // indexing: i < j ≤ MAX_CLIQUE, the common array length.
-                let (extent, persistence) = tuple[i];
-                // indexing: i < j ≤ MAX_CLIQUE, the common array length.
-                let (time_hours, chip) = (times[i], start + offsets[i]);
-                out.push(FaultEvent {
-                    time_hours,
-                    chip,
-                    fault: Fault::sample(rng, extent, persistence, geom),
-                });
-            }
+            (bank, row, rng.gen_range(0..geom.cols))
+        });
+        for i in 0..plan.j {
+            // indexing: i < j ≤ MAX_CLIQUE, the common array length.
+            let (extent, persistence) = tuple[i];
+            // indexing: i < j ≤ MAX_CLIQUE, the common array length.
+            let (time_hours, chip) = (times[i], start + offsets[i]);
+            let fault = match line {
+                Some(line) => line_fault(extent, persistence, line),
+                None => Fault::sample(rng, extent, persistence, geom),
+            };
+            out.push(FaultEvent {
+                time_hours,
+                chip,
+                fault,
+            });
         }
         tuple_index
+    }
+
+    /// Pilot probe: tilts both proposals toward where failures actually
+    /// live (near-optimal tilt is ∝ √f per stratum). Stage 1 measures
+    /// each tuple's exact-`k` propensity f2ᵢ (e.g. only Word-final tuples
+    /// can defeat XED's on-die code at N = k); stage 2 measures the
+    /// per-count-bucket propensity f_b with full trials (extra broad-extent
+    /// arrivals complete cliques regardless of the forced modes, so
+    /// propensity rises with N). The tuple tilt uses the composite
+    /// propensity P(N=k|·)·f2ᵢ + Σ_b P_b·f_b, the count tilt uses √f_b;
+    /// both carry exact likelihood-ratio reweighting and a floor that
+    /// keeps the full support, so probe noise moves only variance, never
+    /// the mean. On schemes where every clique fails deterministically all
+    /// propensities are 1 and both tilts are the identity. Runs
+    /// single-threaded on a dedicated deterministic stream
+    /// (thread-count-invariant); a no-op without a clique plan.
+    fn install_pilot_tilts(&mut self, streams: &Streams) {
+        let Some(clique) = &self.clique else {
+            return;
+        };
+        let (k, lambda, pmf, p_ge_k) = (self.k, self.lambda, self.pmf_k, self.p_ge_k);
+        let mut probe_rng = streams.stream(u64::MAX);
+        let mut scratch = Scratch::default();
+        // Conditional bucket probabilities P(N ∈ b | N ≥ k) for
+        // buckets {k, k+1, k+2, ≥k+3}.
+        let pmf_k1 = pmf * lambda / f64::from(k + 1);
+        let pmf_k2 = pmf_k1 * lambda / f64::from(k + 2);
+        let pmf_k3 = pmf_k2 * lambda / f64::from(k + 3);
+        let p_lump = (p_ge_k - pmf - pmf_k1 - pmf_k2).max(0.0);
+        let pb = [
+            pmf / p_ge_k,
+            pmf_k1 / p_ge_k,
+            pmf_k2 / p_ge_k,
+            p_lump / p_ge_k,
+        ];
+
+        // Stage 1: exact-k tuple propensities.
+        let f2: Vec<f64> = (0..clique.tuples.len())
+            .map(|i| self.probe_tuple(clique, i, &mut probe_rng, &mut scratch))
+            .collect();
+
+        // Stage 2: count-bucket propensities (skip negligible buckets).
+        let mut fb = [0.0f64; 4];
+        for b in 1..4usize {
+            if pb[b] < 1e-6 {
+                continue;
+            }
+            let fixed_n = k + b as u32;
+            let lump = (b == 3).then_some((p_lump, pmf_k3));
+            fb[b] = self.probe_bucket(clique, fixed_n, lump, &mut probe_rng, &mut scratch);
+        }
+
+        let rest: f64 = (1..4).map(|b| pb[b] * fb[b]).sum();
+        let tilts: Vec<f64> = f2
+            .iter()
+            .map(|&f| (pb[0] * f + rest).max(1e-4).sqrt())
+            .collect();
+
+        // Exact-k bucket propensity under the *tilted* tuple draw.
+        let tilted_mass: f64 = clique.weights.iter().zip(&tilts).map(|(w, t)| w * t).sum();
+        fb[0] = clique
+            .weights
+            .iter()
+            .zip(&tilts)
+            .zip(&f2)
+            .map(|((w, t), f)| w * t * f)
+            .sum::<f64>()
+            / tilted_mass;
+
+        let tb: [f64; 4] = std::array::from_fn(|b| fb[b].max(1e-4).sqrt());
+        let mut cum = [0.0f64; 4];
+        let mut acc = 0.0;
+        for b in 0..4 {
+            acc += pb[b] * tb[b];
+            cum[b] = acc;
+        }
+        let weight: [f64; 4] = std::array::from_fn(|b| acc / tb[b]);
+        if let Some(clique) = self.clique.as_mut() {
+            clique.apply_tilt(&tilts);
+        }
+        self.count_tilt = Some(CountTilt {
+            cum,
+            weight,
+            p_lump,
+            pmf_lump: pmf_k3,
+        });
     }
 
     /// Estimates one tuple's conditional failure propensity `f̂ᵢ` — the
     /// probability a trial fails given the forced clique drew this tuple
     /// and no extra faults arrived — by evaluating a synthetic exact-`k`
-    /// timeline `rounds` times. Deterministic verdicts settle after the
-    /// first batch; only rng-dependent tuples (e.g. XED's on-die-miss
-    /// roll) consume the full budget. Feeds the proposal tilt only, so
-    /// estimation error cannot bias the estimator.
+    /// timeline for up to `MAX_ROUNDS` rounds. Unanimous verdicts settle
+    /// after the first batch (all failures) or at `MIN_ROUNDS` (none);
+    /// only rng-dependent tuples (e.g. XED's on-die-miss roll) consume the
+    /// full budget. Feeds the proposal tilt only, so estimation error
+    /// cannot bias the estimator.
+    ///
+    /// Short cut, exact: a first round that leaves `rng` untouched took no
+    /// draws, so its path did not depend on the generator and every later
+    /// round would repeat its verdict without drawing either. The result
+    /// (1 or 0) and the final `rng` state are then exactly those of the
+    /// full loop, so the remaining rounds are skipped. Only strict-model
+    /// rounds can qualify: they replay one fixed timeline, while a coarse
+    /// round samples fresh ranges and so always draws.
     fn probe_tuple(
         &self,
         plan: &CliquePlan,
@@ -677,54 +751,57 @@ impl<'a> TailPlan<'a> {
         const MIN_ROUNDS: u32 = 512;
         const MAX_ROUNDS: u32 = 2048;
         const TARGET_FAILURES: u32 = 24;
-        let tuple = plan.tuples[index];
-        let geom = &self.model.config().geometry;
         let mut failures = 0u32;
         let mut rounds = 0u32;
         while rounds < MAX_ROUNDS {
-            for _ in 0..BATCH {
-                scratch.events.clear();
-                for (i, &(extent, persistence)) in tuple.iter().enumerate().take(plan.j) {
-                    let fault = if plan.strict {
-                        // The canonical shared line: failure propensity is
-                        // translation-invariant in the line coordinates.
-                        let (pin_bank, pin_row, pin_col) = line_pins(extent);
-                        Fault {
-                            extent,
-                            persistence,
-                            range: FaultRange {
-                                bank: pin_bank.then_some(0),
-                                row: pin_row.then_some(0),
-                                col: pin_col.then_some(0),
-                                bit: None,
-                            },
-                        }
-                    } else {
-                        Fault::sample(rng, extent, persistence, geom)
-                    };
-                    // Chips 0..j sit in the first domain block
-                    // (`domain_span ≥ k` was checked by `build`); slot
-                    // order = time order, matching the ordered proposal.
-                    scratch.events.push(FaultEvent {
-                        time_hours: (i + 1) as f64,
-                        chip: i as u32,
-                        fault,
-                    });
-                }
-                if self.evaluate_timeline(rng, scratch).is_some() {
-                    failures += 1;
-                }
+            let start = (rounds == 0).then(|| rng.clone());
+            self.probe_timeline(plan, index, rng, &mut scratch.events);
+            let failed = self.evaluate_timeline(rng, scratch).is_some();
+            if start.as_ref() == Some(&*rng) {
+                return if failed { 1.0 } else { 0.0 };
             }
-            rounds += BATCH;
+            failures += u32::from(failed);
+            rounds += 1;
             // Unanimous batches are (almost surely) deterministic verdicts;
             // mixed ones keep sampling until the propensity is resolved.
-            if failures == rounds
-                || (rounds >= MIN_ROUNDS && (failures == 0 || failures >= TARGET_FAILURES))
+            if rounds.is_multiple_of(BATCH)
+                && (failures == rounds
+                    || (rounds >= MIN_ROUNDS && (failures == 0 || failures >= TARGET_FAILURES)))
             {
                 break;
             }
         }
         f64::from(failures) / f64::from(rounds)
+    }
+
+    /// Fills `out` with one round's synthetic exact-`k` timeline for tuple
+    /// `index`: the members on chips `0..j` (the first domain block;
+    /// `build` checked `domain_span ≥ k`), arriving in slot order at hours
+    /// 1, 2, …, matching the ordered proposal. The strict model pins every
+    /// member to the canonical shared line (propensity is
+    /// translation-invariant in the line coordinates) and draws nothing;
+    /// the coarse model samples each member's range.
+    fn probe_timeline(
+        &self,
+        plan: &CliquePlan,
+        index: usize,
+        rng: &mut StdRng,
+        out: &mut Vec<FaultEvent>,
+    ) {
+        let geom = &self.model.config().geometry;
+        out.clear();
+        for (i, &(extent, persistence)) in plan.tuples[index].iter().enumerate().take(plan.j) {
+            let fault = if plan.strict {
+                line_fault(extent, persistence, (0, 0, 0))
+            } else {
+                Fault::sample(rng, extent, persistence, geom)
+            };
+            out.push(FaultEvent {
+                time_hours: (i + 1) as f64,
+                chip: i as u32,
+                fault,
+            });
+        }
     }
 
     /// Estimates `P(fail | N ∈ bucket)` for one count bucket by full-trial
@@ -746,18 +823,7 @@ impl<'a> TailPlan<'a> {
         for _ in 0..ROUNDS {
             let n = match lump {
                 None => fixed_n,
-                Some((p_lump, pmf_start)) => {
-                    let target = rng.gen::<f64>() * p_lump;
-                    let mut n = fixed_n;
-                    let mut pmf = pmf_start;
-                    let mut cdf = pmf;
-                    while cdf <= target && pmf > 0.0 && n < self.k + COUNT_WALK_CAP {
-                        n += 1;
-                        pmf *= self.lambda / f64::from(n);
-                        cdf += pmf;
-                    }
-                    n
-                }
+                Some((p_lump, pmf)) => self.walk_count(fixed_n, pmf, rng.gen::<f64>() * p_lump),
             };
             scratch.events.clear();
             self.plant_clique(plan, rng, &mut scratch.events);
@@ -784,10 +850,6 @@ impl<'a> TailPlan<'a> {
     /// ascending index = ascending time, so "all but the innermost loop's
     /// member" is exactly "all but the latest").
     fn count_cliques(&self, plan: &CliquePlan, events: &[FaultEvent]) -> u64 {
-        let strip = |e: &FaultEvent| FaultRange {
-            bit: None,
-            ..e.fault.range
-        };
         let compatible = |a: &FaultEvent, b: &FaultEvent| {
             a.chip != b.chip
                 && b.fault.extent.is_multi_bit()
@@ -819,7 +881,7 @@ impl<'a> TailPlan<'a> {
                     continue;
                 }
                 let ab = if plan.strict {
-                    let x = strip(a).intersect(&strip(b));
+                    let x = a.fault.range.line().intersect(&b.fault.range.line());
                     if x.is_none() {
                         continue;
                     }
@@ -839,7 +901,7 @@ impl<'a> TailPlan<'a> {
                         // invariant: ab is Some here — the strict arm above
                         // skipped the pair otherwise.
                         let line = ab.as_ref().expect("strict pair intersection");
-                        if line.intersect(&strip(c)).is_none() {
+                        if line.intersect(&c.fault.range.line()).is_none() {
                             continue;
                         }
                     }
@@ -897,27 +959,17 @@ impl<'a> TailPlan<'a> {
         }
     }
 
-    /// Replays the event timeline against the scheme model — the same
-    /// expiry/first-failure loop as the plain driver's multi-fault path.
+    /// The trial's first failure verdict on `scratch.events`, if any (the
+    /// crate's one timeline loop, [`run_timeline`]).
     fn evaluate_timeline(&self, rng: &mut StdRng, scratch: &mut Scratch) -> Option<Verdict> {
-        scratch.active.clear();
-        for e in &scratch.events {
-            scratch.active.retain(|&(expiry, _)| expiry > e.time_hours);
-            scratch.view.clear();
-            scratch.view.extend(scratch.active.iter().map(|&(_, f)| f));
-            let verdict = self.model.evaluate(rng, e, &scratch.view);
-            match verdict {
-                Verdict::Due | Verdict::Sdc => return Some(verdict),
-                Verdict::Corrected | Verdict::Benign => match e.fault.persistence {
-                    Persistence::Permanent => scratch.active.push((f64::INFINITY, *e)),
-                    Persistence::Transient if self.exposure > 0.0 => {
-                        scratch.active.push((e.time_hours + self.exposure, *e));
-                    }
-                    Persistence::Transient => {}
-                },
-            }
-        }
-        None
+        run_timeline(
+            &self.model,
+            rng,
+            &scratch.events,
+            &mut scratch.active,
+            |_, _, _| {},
+        )
+        .map(|(_, verdict)| verdict)
     }
 }
 
@@ -965,171 +1017,20 @@ impl TailSimulator {
     /// thread count never changes it.
     pub fn run(&self, scheme: Scheme) -> TailEstimate {
         let config = &self.config;
-        let model = SchemeModel::new(scheme, config.params);
-        let sampler = LifetimeSampler::new(
-            &config.rates,
-            model.config().geometry,
-            model.config().total_chips(),
-            config.years,
-        );
-        let lambda = sampler.lambda();
-        let k = min_failing_faults(scheme);
-
-        if lambda > POISSON_CHUNK || config.force_mode == Some(TailMode::PlainMc) {
-            return self.run_plain(scheme);
-        }
-        // xed-lint: allow(XL004) — exact zero-rate sentinel
-        if lambda == 0.0 {
-            // No faults ever arrive: the tail probability is exactly zero.
-            return self.zero_estimate(scheme, k);
-        }
-
-        // P(N ≥ k) and P(N = k) for the truncated count draw.
-        let exp_neg = (-lambda).exp();
-        let mut pmf = exp_neg; // P(N = 0)
-        let mut below = 0.0f64;
-        for n in 0..k {
-            below += pmf;
-            pmf *= lambda / f64::from(n + 1);
-        }
-        let p_ge_k = (1.0 - below).max(0.0);
-        // xed-lint: allow(XL004) — clamped to exactly 0 above
-        if p_ge_k == 0.0 {
-            return self.zero_estimate(scheme, k);
-        }
-
-        let clique = match config.force_mode {
-            Some(TailMode::CountConditioned) => None,
-            _ => {
-                // Prefer the time-ordered, persistence-restricted proposal:
-                // with a zero exposure window the evaluator's active set
-                // holds only permanent faults, so every failing trial
-                // carries a permanent-until-last witness and the tighter
-                // `Z'` buys variance for free. Any positive window breaks
-                // that structural guarantee (a transient can still be
-                // active when the completing fault lands), so fall back to
-                // unrestricted cliques — which never relied on persistence.
-                // xed-lint: allow(XL004) — an exactly-zero configured window
-                let restricted = config.params.transient_exposure_hours == 0.0;
-                let ordered = if restricted {
-                    CliquePlan::build(&model, &config.rates, k, true)
-                } else {
-                    None
-                };
-                ordered.or_else(|| CliquePlan::build(&model, &config.rates, k, false))
-            }
+        let mut plan = match self.plan(scheme) {
+            Ok(plan) => plan,
+            Err(estimate) => return estimate,
         };
-        let mode = if clique.is_some() {
-            TailMode::CliqueForced
-        } else {
-            TailMode::CountConditioned
-        };
-        let clique_rho = clique.as_ref().map_or(0.0, |c| c.rho);
-        let mut plan = TailPlan {
-            model,
-            sampler,
-            mode,
-            k,
-            p_ge_k,
-            pmf_k: pmf,
-            lambda,
-            hours: config.years * HOURS_PER_YEAR,
-            exposure: config.params.transient_exposure_hours,
-            clique,
-            count_tilt: None,
-        };
+        let (mode, k, p_ge_k) = (plan.mode, plan.k, plan.p_ge_k);
+        let clique_rho = plan.clique.as_ref().map_or(0.0, |c| c.rho);
 
         let streams = stream_family(config.seed.wrapping_add(TAIL_STREAM_SALT), scheme);
         let start = Instant::now(); // xed-lint: allow(XL005)
-
-        // Pilot probe: tilt both proposals toward where failures actually
-        // live (near-optimal tilt is ∝ √f per stratum). Stage 1 measures
-        // each tuple's exact-`k` propensity f2ᵢ (e.g. only Word-final
-        // tuples can defeat XED's on-die code at N = k); stage 2 measures
-        // the per-count-bucket propensity f_b with full trials (extra
-        // broad-extent arrivals complete cliques regardless of the forced
-        // modes, so propensity rises with N). The tuple tilt uses the
-        // composite propensity P(N=k|·)·f2ᵢ + Σ_b P_b·f_b, the count tilt
-        // uses √f_b; both carry exact likelihood-ratio reweighting and a
-        // floor that keeps the full support, so probe noise moves only
-        // variance, never the mean. On schemes where every clique fails
-        // deterministically all propensities are 1 and both tilts are the
-        // identity. Runs single-threaded on a dedicated deterministic
-        // stream (thread-count-invariant), inside the timed region because
-        // it is part of the run's cost.
-        let pilot: Option<(Vec<f64>, CountTilt)> = plan.clique.as_ref().map(|clique| {
-            let mut probe_rng = streams.stream(u64::MAX);
-            let mut scratch = Scratch::default();
-            // Conditional bucket probabilities P(N ∈ b | N ≥ k) for
-            // buckets {k, k+1, k+2, ≥k+3}.
-            let pmf_k1 = pmf * lambda / f64::from(k + 1);
-            let pmf_k2 = pmf_k1 * lambda / f64::from(k + 2);
-            let pmf_k3 = pmf_k2 * lambda / f64::from(k + 3);
-            let p_lump = (p_ge_k - pmf - pmf_k1 - pmf_k2).max(0.0);
-            let pb = [
-                pmf / p_ge_k,
-                pmf_k1 / p_ge_k,
-                pmf_k2 / p_ge_k,
-                p_lump / p_ge_k,
-            ];
-
-            // Stage 1: exact-k tuple propensities.
-            let f2: Vec<f64> = (0..clique.tuples.len())
-                .map(|i| plan.probe_tuple(clique, i, &mut probe_rng, &mut scratch))
-                .collect();
-
-            // Stage 2: count-bucket propensities (skip negligible buckets).
-            let mut fb = [0.0f64; 4];
-            for b in 1..4usize {
-                if pb[b] < 1e-6 {
-                    continue;
-                }
-                let fixed_n = k + b as u32;
-                let lump = (b == 3).then_some((p_lump, pmf_k3));
-                fb[b] = plan.probe_bucket(clique, fixed_n, lump, &mut probe_rng, &mut scratch);
+        if plan.clique.is_some() {
+            plan.install_pilot_tilts(&streams);
+            if xed_telemetry::enabled() {
+                metrics::FAULTSIM_TAIL_PILOT_NS.record(start.elapsed().as_nanos() as u64);
             }
-
-            let rest: f64 = (1..4).map(|b| pb[b] * fb[b]).sum();
-            let tilts: Vec<f64> = f2
-                .iter()
-                .map(|&f| (pb[0] * f + rest).max(1e-4).sqrt())
-                .collect();
-
-            // Exact-k bucket propensity under the *tilted* tuple draw.
-            let tilted_mass: f64 = clique.weights.iter().zip(&tilts).map(|(w, t)| w * t).sum();
-            fb[0] = clique
-                .weights
-                .iter()
-                .zip(&tilts)
-                .zip(&f2)
-                .map(|((w, t), f)| w * t * f)
-                .sum::<f64>()
-                / tilted_mass;
-
-            let tb: [f64; 4] = std::array::from_fn(|b| fb[b].max(1e-4).sqrt());
-            let mut cum = [0.0f64; 4];
-            let mut acc = 0.0;
-            for b in 0..4 {
-                acc += pb[b] * tb[b];
-                cum[b] = acc;
-            }
-            let weight: [f64; 4] = std::array::from_fn(|b| acc / tb[b]);
-            let count_tilt = CountTilt {
-                cum,
-                weight,
-                p_lump,
-                pmf_lump: pmf_k3,
-            };
-            (tilts, count_tilt)
-        });
-        if let Some((tilts, count_tilt)) = pilot {
-            // invariant: the pilot closure is entered only under
-            // `plan.clique.is_some()`, so the Option is still populated here.
-            plan.clique
-                .as_mut()
-                .expect("the pilot runs only when the clique exists")
-                .apply_tilt(&tilts);
-            plan.count_tilt = Some(count_tilt);
         }
         let plan = plan;
         let (per_worker, threads) = sched::steal_chunks(
@@ -1211,6 +1112,85 @@ impl TailSimulator {
         }
     }
 
+    /// Compiles the conditioned plan for `scheme` (mode, count
+    /// conditioning and clique proposal, pilot tilts not yet installed),
+    /// or the finished estimate when the run needs no conditioned trials:
+    /// the plain-MC delegate or an exact zero.
+    fn plan(&self, scheme: Scheme) -> Result<TailPlan<'_>, TailEstimate> {
+        let config = &self.config;
+        let model = SchemeModel::new(scheme, config.params);
+        let sampler = LifetimeSampler::new(
+            &config.rates,
+            model.config().geometry,
+            model.config().total_chips(),
+            config.years,
+        );
+        let lambda = sampler.lambda();
+        let k = min_failing_faults(scheme);
+
+        if lambda > POISSON_CHUNK || config.force_mode == Some(TailMode::PlainMc) {
+            return Err(self.run_plain(scheme));
+        }
+        // xed-lint: allow(XL004) — exact zero-rate sentinel
+        if lambda == 0.0 {
+            // No faults ever arrive: the tail probability is exactly zero.
+            return Err(self.zero_estimate(scheme, k));
+        }
+
+        // P(N ≥ k) and P(N = k) for the truncated count draw.
+        let exp_neg = (-lambda).exp();
+        let mut pmf = exp_neg; // P(N = 0)
+        let mut below = 0.0f64;
+        for n in 0..k {
+            below += pmf;
+            pmf *= lambda / f64::from(n + 1);
+        }
+        let p_ge_k = (1.0 - below).max(0.0);
+        // xed-lint: allow(XL004) — clamped to exactly 0 above
+        if p_ge_k == 0.0 {
+            return Err(self.zero_estimate(scheme, k));
+        }
+
+        let clique = match config.force_mode {
+            Some(TailMode::CountConditioned) => None,
+            _ => {
+                // Prefer the time-ordered, persistence-restricted proposal:
+                // with a zero exposure window the evaluator's active set
+                // holds only permanent faults, so every failing trial
+                // carries a permanent-until-last witness and the tighter
+                // `Z'` buys variance for free. Any positive window breaks
+                // that structural guarantee (a transient can still be
+                // active when the completing fault lands), so fall back to
+                // unrestricted cliques — which never relied on persistence.
+                // xed-lint: allow(XL004) — an exactly-zero configured window
+                let restricted = config.params.transient_exposure_hours == 0.0;
+                let ordered = if restricted {
+                    CliquePlan::build(&model, &config.rates, k, true)
+                } else {
+                    None
+                };
+                ordered.or_else(|| CliquePlan::build(&model, &config.rates, k, false))
+            }
+        };
+        let mode = if clique.is_some() {
+            TailMode::CliqueForced
+        } else {
+            TailMode::CountConditioned
+        };
+        Ok(TailPlan {
+            model,
+            sampler,
+            mode,
+            k,
+            p_ge_k,
+            pmf_k: pmf,
+            lambda,
+            hours: config.years * HOURS_PER_YEAR,
+            clique,
+            count_tilt: None,
+        })
+    }
+
     /// Estimates every scheme in `schemes`, in order.
     pub fn run_all(&self, schemes: &[Scheme]) -> Vec<TailEstimate> {
         schemes.iter().map(|&s| self.run(s)).collect()
@@ -1290,6 +1270,78 @@ mod tests {
             seed: 7,
             ..TailConfig::default()
         })
+    }
+
+    /// The round loop `probe_tuple` short-cuts, kept whole as its
+    /// reference: 64-round batches until a unanimous batch, a failure-free
+    /// `MIN_ROUNDS`, 24 failures or `MAX_ROUNDS`.
+    fn probe_tuple_full(
+        plan: &TailPlan<'_>,
+        clique: &CliquePlan,
+        index: usize,
+        rng: &mut StdRng,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let (mut failures, mut rounds) = (0u32, 0u32);
+        while rounds < 2048 {
+            for _ in 0..64 {
+                plan.probe_timeline(clique, index, rng, &mut scratch.events);
+                if plan.evaluate_timeline(rng, scratch).is_some() {
+                    failures += 1;
+                }
+            }
+            rounds += 64;
+            if failures == rounds || (rounds >= 512 && (failures == 0 || failures >= 24)) {
+                break;
+            }
+        }
+        f64::from(failures) / f64::from(rounds)
+    }
+
+    #[test]
+    fn probe_short_cut_matches_the_full_round_loop() {
+        // Every tuple of both clique schemes, strict and coarse, probed in
+        // pilot order on one shared stream: the short-cut loop must return
+        // the same propensity and leave the stream exactly where the full
+        // loop leaves it, or every later probe and trial would drift.
+        let coarse = ModelParams {
+            require_line_intersection: false,
+            ..ModelParams::default()
+        };
+        for (scheme, params) in [
+            (Scheme::XedChipkill, ModelParams::default()),
+            (Scheme::DoubleChipkill, ModelParams::default()),
+            (Scheme::XedChipkill, coarse),
+        ] {
+            let sim = TailSimulator::new(TailConfig {
+                samples: 1_000,
+                seed: 7,
+                params,
+                ..TailConfig::default()
+            });
+            let Ok(plan) = sim.plan(scheme) else {
+                panic!("{scheme}: no conditioned plan");
+            };
+            let clique = plan.clique.as_ref().expect("clique-forced plan");
+            let mut fast = stream_family(7, scheme).stream(u64::MAX);
+            let mut full = fast.clone();
+            let mut scratch = Scratch::default();
+            let mut drawing = 0;
+            for i in 0..clique.tuples.len() {
+                let before = fast.clone();
+                let f = plan.probe_tuple(clique, i, &mut fast, &mut scratch);
+                let g = probe_tuple_full(&plan, clique, i, &mut full, &mut scratch);
+                assert_eq!(f.to_bits(), g.to_bits(), "{scheme} tuple {i}");
+                assert_eq!(fast, full, "{scheme} tuple {i}: stream state");
+                drawing += usize::from(fast != before);
+            }
+            // The premise the short cut rests on: Double-Chipkill's strict
+            // verdicts never draw, XED-on-Chipkill's word-miss roll does.
+            match (scheme, params.require_line_intersection) {
+                (Scheme::DoubleChipkill, true) => assert_eq!(drawing, 0),
+                _ => assert!(drawing > 0, "{scheme}: no tuple drew"),
+            }
+        }
     }
 
     #[test]

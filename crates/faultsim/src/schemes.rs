@@ -360,6 +360,10 @@ pub struct SchemeModel {
     /// — under [`CodeModel::Known`] and [`CodeModel::InferredExact`] this
     /// is exactly `params.on_die_miss`, keeping those runs bit-identical.
     effective_on_die_miss: f64,
+    /// [`Scheme::domain_chips`]. Domains are contiguous chip blocks (a
+    /// rank, or both ranks of a channel), so `chip / domain_span` is the
+    /// domain id and `chip % domain_span` (≤ 36) the chip's mask bit.
+    domain_span: u32,
 }
 
 impl SchemeModel {
@@ -372,6 +376,7 @@ impl SchemeModel {
             config,
             bit_always_benign: params.on_die_ecc && !params.scaling.enabled(),
             effective_on_die_miss: params.code_model.effective_on_die_miss(params.on_die_miss),
+            domain_span: scheme.domain_chips(),
         }
     }
 
@@ -398,10 +403,17 @@ impl SchemeModel {
 
     /// `true` if chips `a` and `b` share this scheme's protection domain.
     pub fn same_domain(&self, a: u32, b: u32) -> bool {
-        if self.scheme.domain_is_channel() {
-            self.config.channel_of(a) == self.config.channel_of(b)
+        debug_assert!(a.max(b) < self.config.total_chips(), "chip out of range");
+        a / self.domain_span == b / self.domain_span
+    }
+
+    /// The domain-mask bit of `a`'s chip if `a` is a *visible* (multi-bit)
+    /// fault on another chip of `e`'s protection domain, else 0.
+    fn peer_bit(&self, e: &FaultEvent, a: &FaultEvent) -> u64 {
+        if a.chip != e.chip && a.fault.extent.is_multi_bit() && self.same_domain(a.chip, e.chip) {
+            1 << (a.chip % self.domain_span)
         } else {
-            self.config.rank_of(a) == self.config.rank_of(b)
+            0
         }
     }
 
@@ -409,33 +421,38 @@ impl SchemeModel {
     /// `e`'s protection domain whose *visible* (multi-bit) faults all
     /// intersect one common cache line with `e`'s fault (or, with
     /// `require_line_intersection` disabled, merely coexist in the
-    /// domain).
+    /// domain). Allocation-free: chips are bits of a domain mask.
     pub fn concurrent_chips(&self, e: &FaultEvent, active: &[FaultEvent]) -> u32 {
-        let visible = |a: &&FaultEvent| {
-            a.chip != e.chip && a.fault.extent.is_multi_bit() && self.same_domain(a.chip, e.chip)
-        };
         if !self.params.require_line_intersection {
-            let mut chips: Vec<u32> = active.iter().filter(visible).map(|a| a.chip).collect();
-            chips.sort_unstable();
-            chips.dedup();
-            return 1 + chips.len() as u32;
+            let chips = active.iter().fold(0u64, |m, a| m | self.peer_bit(e, a));
+            return 1 + chips.count_ones();
         }
-        let line = FaultRange {
-            bit: None,
-            ..e.fault.range
-        };
-        let cands: Vec<(u32, FaultRange)> = active
-            .iter()
-            .filter(visible)
-            .filter_map(|a| {
-                let r = FaultRange {
-                    bit: None,
-                    ..a.fault.range
-                };
-                line.intersect(&r).map(|x| (a.chip, x))
-            })
-            .collect();
-        1 + max_chips_with_common_line(&line, &cands)
+        1 + self.common_line_chips(e, e.fault.range.line(), active, 0)
+    }
+
+    /// Brute-force subset search behind [`Self::concurrent_chips`]: the
+    /// most distinct chips, beyond the `used` ones, whose visible faults in
+    /// `rest` share one line with `current` (the intersection of `e`'s line
+    /// and the faults chosen so far). Candidate counts are tiny in practice.
+    fn common_line_chips(
+        &self,
+        e: &FaultEvent,
+        current: FaultRange,
+        rest: &[FaultEvent],
+        used: u64,
+    ) -> u32 {
+        let mut best = used.count_ones();
+        for (i, a) in rest.iter().enumerate() {
+            let bit = self.peer_bit(e, a);
+            if bit & !used == 0 {
+                continue;
+            }
+            if let Some(next) = current.intersect(&a.fault.range.line()) {
+                // indexing: i < rest.len(), so i + 1 is a valid start.
+                best = best.max(self.common_line_chips(e, next, &rest[i + 1..], used | bit));
+            }
+        }
+        best
     }
 
     /// Evaluates one fault arrival against the currently active faults.
@@ -700,31 +717,6 @@ impl SchemeModel {
     }
 }
 
-/// Finds the largest number of distinct chips whose candidate line-ranges
-/// (already intersected with the new fault's line range) share one common
-/// line. Brute-force subset search — candidate counts are tiny in practice.
-fn max_chips_with_common_line(base: &FaultRange, cands: &[(u32, FaultRange)]) -> u32 {
-    fn rec(current: FaultRange, cands: &[(u32, FaultRange)], used: &mut Vec<u32>, best: &mut u32) {
-        *best = (*best).max(used.len() as u32);
-        for (i, (chip, range)) in cands.iter().enumerate() {
-            if used.contains(chip) {
-                continue;
-            }
-            if let Some(next) = current.intersect(range) {
-                // Tiny per-call scratch Vec, bounded by the candidate count.
-                // alloc: at most chips-per-rank pushes, amortized growth.
-                used.push(*chip);
-                // indexing: i < cands.len(), so i + 1 is a valid start.
-                rec(next, &cands[i + 1..], used, best);
-                used.pop();
-            }
-        }
-    }
-    let mut best = 0;
-    rec(*base, cands, &mut Vec::new(), &mut best);
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -924,6 +916,28 @@ mod tests {
             m.evaluate(&mut rng, &chip_fault(0), &active),
             Verdict::Corrected
         );
+    }
+
+    #[test]
+    fn domains_are_ranks_or_channels_of_domain_chips() {
+        // `same_domain` divides by `Scheme::domain_chips`; that must be
+        // the rank (or, ganged, the channel) of the scheme's system, and
+        // small enough for the u64 chip masks of `concurrent_chips`.
+        for scheme in Scheme::ALL {
+            let m = model(scheme);
+            let c = m.config().clone();
+            assert!(scheme.domain_chips() <= 64, "{scheme}");
+            for a in 0..c.total_chips() {
+                for b in 0..c.total_chips() {
+                    let want = if scheme.domain_is_channel() {
+                        c.channel_of(a) == c.channel_of(b)
+                    } else {
+                        c.rank_of(a) == c.rank_of(b)
+                    };
+                    assert_eq!(m.same_domain(a, b), want, "{scheme}: chips {a}, {b}");
+                }
+            }
+        }
     }
 
     #[test]

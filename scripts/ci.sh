@@ -51,10 +51,14 @@ git diff --exit-code -- 'results/fig1[1-4].*'
 # *release* codegen too — the debug `cargo test` above proves the
 # unoptimized build, this re-runs the equivalence and thread-invariance
 # tests at the optimization level the benchmarks and figure binaries
-# actually ship (DESIGN.md §9.2, §14.1).
+# actually ship (DESIGN.md §9.2, §14.1). The golden tail estimates run
+# here too: the rare-event trial loop shares the Monte-Carlo timeline
+# evaluator and skips fixed pilot rounds, so they pin it under the
+# shipped codegen.
 step "kernel equivalence and thread invariance (release)"
 cargo test -q --release -p xed-faultsim --lib -- \
     bit_sliced_kernel_is_bit_identical_to_scalar thread_count_never_changes
+cargo test -q --release -p xed --test tail_golden
 
 # Gating: the xed-testkit cross-validation matrix (DESIGN.md §12) —
 # exhaustive small-geometry oracle, analytic gate, metamorphic laws,
